@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, ResourceLimitError
 from .hypergraph import EdgeColoredHypergraph
-from .linalg import Echelon, express_in_span, kernel_of_rows
+from .linalg import Echelon
 
 Chain = dict[int, Fraction]  # generator bitmask -> coefficient
 
@@ -86,6 +86,7 @@ class AtomicComplex:
         ]
         self._diff: dict[int, list[tuple[int, int]]] = {}
         self._prod: dict[tuple[int, int], tuple[int, int] | None] = {}
+        self._elim: dict[int, Echelon] = {}
 
         by_degree: dict[int, list[int]] = {}
         for m in range(1 << n):
@@ -197,6 +198,27 @@ class AtomicComplex:
 
     # -- cohomology -------------------------------------------------------------
 
+    def _elimination(self, degree: int) -> Echelon:
+        """Tracked elimination of d on the degree's basis, built once per
+        degree.  Its rows span d(C^degree), its combos (keyed by generator
+        mask) solve d(x) = target, and its kernel holds the cocycles."""
+        ech = self._elim.get(degree)
+        if ech is None:
+            ech = Echelon(track=True)
+            for m in self.basis_by_degree.get(degree, []):
+                ech.add({m2: Fraction(s) for s, m2 in self.diff_mask(m)}, tag=m)
+            self._elim[degree] = ech
+        return ech
+
+    def coboundaries(self, degree: int) -> Echelon:
+        """Echelon spanning d(C^{degree-1}); shared by every caller, so it
+        must not be added to."""
+        return self._elimination(degree - 1)
+
+    def cocycles(self, degree: int) -> list[Chain]:
+        """Basis of the cocycles of the given degree; shared, read only."""
+        return self._elimination(degree).kernel
+
     def cohomology(self, max_degree: int | None = None) -> Cohomology:
         """Betti numbers and reduced cocycle representatives per degree."""
         if max_degree is None:
@@ -208,20 +230,12 @@ class AtomicComplex:
         betti: dict[int, int] = {}
         reps: dict[int, list[Chain]] = {}
         for d in range(lo, max_degree + 1):
-            basis = self.basis_by_degree.get(d, [])
-            rows = [
-                {m2: Fraction(s) for s, m2 in self.diff_mask(m)} for m in basis
-            ]
-            kernel = kernel_of_rows(rows)
-            image_prev = Echelon()
-            for m in self.basis_by_degree.get(d - 1, []):
-                image_prev.add({mm: Fraction(s) for s, mm in self.diff_mask(m)})
+            image_prev = self.coboundaries(d)
             chosen: list[Chain] = []
             seen = Echelon()
-            for kvec in kernel:
-                chain = {basis[i]: c for i, c in kvec.items()}
-                residue = image_prev.reduce(chain)
-                if residue and seen.add(dict(residue)):
+            for cocycle in self.cocycles(d):
+                residue = image_prev.reduce(cocycle)
+                if residue and seen.add(residue):
                     chosen.append(residue)
             betti[d] = len(chosen)
             reps[d] = chosen
@@ -240,12 +254,7 @@ class AtomicComplex:
 
     def solve_d(self, target: Chain, source_degree: int) -> Chain | None:
         """Some x of the given degree with d(x) = target, or None."""
-        basis = self.basis_by_degree.get(source_degree, [])
-        rows = [
-            {m2: Fraction(s) for s, m2 in self.diff_mask(m)}
-            for m in basis
-        ]
-        combo = express_in_span(rows, dict(target))
-        if combo is None:
+        residue, combo = self._elimination(source_degree).reduce_with_combo(target)
+        if residue:
             return None
-        return {basis[i]: c for i, c in combo.items() if c}
+        return {m: -c for m, c in combo.items() if c}

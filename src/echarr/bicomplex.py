@@ -163,9 +163,6 @@ class WordBicomplex:
         quo = self.quotients[key]
         return self.words_by_bidegree[key][quo.free_cols[i]]
 
-    def basis_words(self, key: tuple[int, int]) -> list[Word]:
-        return [self._lift_word(key, i) for i in range(self.quotients[key].dim)]
-
     # -- free-space differentials ---------------------------------------------
 
     def word_dW(self, vec: WordVec) -> WordVec:

@@ -60,10 +60,7 @@ def parse_arrangement(text: str) -> tuple[EdgeColoredHypergraph, dict]:
         not isinstance(order, list) or not all(isinstance(c, str) for c in order)
     ):
         raise InputError('"order" must be a list of color names')
-    try:
-        h = EdgeColoredHypergraph.from_edge_list(data["vertices"], edges, order)
-    except InputError:
-        raise
+    h = EdgeColoredHypergraph.from_edge_list(data["vertices"], edges, order)
     strict = bool(data.get("strict", False))
     problems = h.validate(strict=strict)
     if problems:
@@ -87,8 +84,10 @@ def _emit(obj) -> None:
 
 def _complex_config(args) -> ComplexConfig:
     max_colors = ComplexConfig.max_colors
-    if getattr(args, "max_generators", None):
-        max_colors = max(0, args.max_generators.bit_length() - 1)
+    if getattr(args, "max_generators", None) is not None:
+        if args.max_generators < 1:
+            raise InputError("--max-generators must be at least 1")
+        max_colors = args.max_generators.bit_length() - 1
     return ComplexConfig(max_colors=max_colors)
 
 
@@ -126,17 +125,16 @@ def _cmd_charpoly(args) -> int:
     if args.method in ("mobius", "all"):
         results["mobius"] = list(build_lattice(h).characteristic_polynomial().coeffs)
     if args.method in ("dc", "all"):
-        results["dc"] = list(chromatic_polynomial(h).coeffs)
+        dc = chromatic_polynomial(h)
+        results["dc"] = list(dc.coeffs)
     if args.method in ("count", "all"):
         results["count"] = list(chromatic_polynomial_by_counting(h, budget).coeffs)
     polys = list(results.values())
     if args.method == "all":
         agree = all(p == polys[0] for p in polys)
-        extra_ok = True
-        poly = chromatic_polynomial(h)
-        for t in range(h.vertex_count + 2):
-            if poly(t) != count_proper_colorings(h, t, budget):
-                extra_ok = False
+        # counting interpolated t = 0..n, so only t = n+1 is a new check
+        t = h.vertex_count + 1
+        extra_ok = dc(t) == count_proper_colorings(h, t, budget)
         out = {"polynomial": polys[0], "methods": results, "agree": agree and extra_ok}
         _emit(out)
         return 0 if (agree and extra_ok) else 1

@@ -47,11 +47,15 @@ class Echelon:
 
     Rows are normalized to pivot 1 (pivot = smallest column index) and kept
     mutually reduced, so `reduce` returns a canonical residue modulo the span.
+    With tracking, ``combos[p]`` gives row p as a combination of the added
+    vectors, keyed by their tags, and ``kernel`` collects the combinations of
+    added vectors that reduced to zero.
     """
 
     def __init__(self, track: bool = False):
         self.rows: dict[int, Vec] = {}
         self.combos: dict[int, Vec] = {}
+        self.kernel: list[Vec] = []
         self.track = track
         self._n_seen = 0
 
@@ -88,6 +92,8 @@ class Echelon:
             combination = {}
         self._n_seen += 1
         if not residue:
+            if self.track:
+                self.kernel.append(combination)
             return False
         p = min(residue)
         inv = Fraction(1) / residue[p]
@@ -119,39 +125,9 @@ def rank_of_rows(rows: Sequence[Vec]) -> int:
 def kernel_of_rows(rows: Sequence[Vec]) -> list[Vec]:
     """Basis of {x : sum_i x[i] * rows[i] = 0} (left kernel)."""
     ech = Echelon(track=True)
-    kernel = []
-    for i, r in enumerate(rows):
-        if not r:
-            kernel.append({i: Fraction(1)})
-            continue
-        residue, combo = ech.reduce_with_combo(r, {i: Fraction(1)})
-        if not residue:
-            kernel.append(combo)
-        else:
-            p = min(residue)
-            inv = Fraction(1) / residue[p]
-            row = vec_scale(residue, inv)
-            comb = vec_scale(combo, inv)
-            for q, other in ech.rows.items():
-                if p in other:
-                    c = other[p]
-                    vec_axpy(other, row, -c)
-                    vec_axpy(ech.combos[q], comb, -c)
-            ech.rows[p] = row
-            ech.combos[p] = comb
-            ech._n_seen += 1
-    return kernel
-
-
-def express_in_span(rows: Sequence[Vec], target: Vec) -> Vec | None:
-    """Coefficients x with sum x[i]*rows[i] = target, or None."""
-    ech = Echelon(track=True)
-    for i, r in enumerate(rows):
-        ech.add(r, tag=i)
-    residue, combo = ech.reduce_with_combo(target)
-    if residue:
-        return None
-    return {k: -c for k, c in combo.items() if c}
+    for r in rows:
+        ech.add(r)
+    return ech.kernel
 
 
 class QuotientSpace:
@@ -179,6 +155,3 @@ class QuotientSpace:
     def project(self, vec: Vec) -> Vec:
         residue = self._ech.reduce(vec)
         return {self._index[c]: x for c, x in residue.items()}
-
-    def lift(self, i: int) -> Vec:
-        return {self.free_cols[i]: Fraction(1)}

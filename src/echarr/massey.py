@@ -19,7 +19,7 @@ from .atomic_complex import AtomicComplex, Chain, ComplexConfig, DEFAULT_CONFIG
 from .bicomplex import word_dMu, word_dW
 from .errors import InputError, MismatchError
 from .hypergraph import EdgeColoredHypergraph
-from .linalg import Echelon, kernel_of_rows
+from .linalg import Echelon, kernel_of_rows, vec_axpy
 
 
 @dataclass(frozen=True)
@@ -173,13 +173,7 @@ def massey_d2_class(cx: AtomicComplex, system: MasseyColorSystem) -> D2Certifica
 
     # z = u*y - (-1)^{|u|} x*w, the standard triple-product representative
     z: Chain = dict(cx.multiply_chains({u: one}, {y_mask: one}))
-    sign = Fraction((-1) ** cx.degree[u])
-    for m, cc in cx.multiply_chains({x_mask: one}, {w: one}).items():
-        val = z.get(m, Fraction(0)) - sign * cc
-        if val:
-            z[m] = val
-        else:
-            z.pop(m, None)
+    vec_axpy(z, cx.multiply_chains({x_mask: one}, {w: one}), -Fraction((-1) ** cx.degree[u]))
     degree = cx.chain_degree(z)
     closed = cx.is_cocycle(z)
     nonzero = closed and not cx.is_coboundary(z)
@@ -214,9 +208,7 @@ def _class_dies_on_page_two(cx: AtomicComplex, z: Chain, degree: int) -> bool:
     modulo the weight-two shuffle relations; merging kills those relations
     identically, so no further correction terms appear.
     """
-    span = Echelon()
-    for m in cx.basis_by_degree.get(degree - 1, []):
-        span.add({mm: Fraction(s) for s, mm in cx.diff_mask(m)})
+    coboundaries = cx.coboundaries(degree)
     letters = [m for m in range(1 << cx.n) if cx.degree[m] >= 1]
     pairs = [
         (m1, m2)
@@ -235,11 +227,14 @@ def _class_dies_on_page_two(cx: AtomicComplex, z: Chain, degree: int) -> bool:
             rel[(m2, m1)] = rel.get((m2, m1), Fraction(0)) + Fraction((-1) ** koszul)
             relations.add({k: v for k, v in rel.items() if v})
     rows = [relations.reduce(word_dW(cx, {pair: 1})) for pair in pairs]
+    # z lies in coboundaries + merged cycles iff its residue modulo the
+    # coboundaries lies in the span of the merged cycles' residues
+    residues = Echelon()
     for combo in kernel_of_rows(rows):
         cycle = {pairs[i]: cc for i, cc in combo.items()}
         merged = word_dMu(cx, cycle)
-        span.add({word[0]: cc for word, cc in merged.items()})
-    return span.contains(dict(z))
+        residues.add(coboundaries.reduce({word[0]: cc for word, cc in merged.items()}))
+    return residues.contains(coboundaries.reduce(z))
 
 
 @dataclass
@@ -251,9 +246,7 @@ class TripleProduct:
     indeterminacy: tuple[Chain, Chain] | None
 
 
-def massey_triple_product(
-    cx: AtomicComplex, u: Chain, v: Chain, w: Chain, reverse_basis: bool = False
-) -> TripleProduct:
+def massey_triple_product(cx: AtomicComplex, u: Chain, v: Chain, w: Chain) -> TripleProduct:
     """Standard representative u*y - (-1)^{|u|} x*w with dx = -uv, dy = -vw.
 
     The defined flag is False when either product has a nonzero class; the
@@ -268,53 +261,34 @@ def massey_triple_product(
         raise InputError("triple product arguments must be nonzero")
     uv = cx.multiply_chains(u, v)
     vw = cx.multiply_chains(v, w)
-    x = _solve_bounding(cx, uv, du + dv - 1, reverse_basis)
-    y = _solve_bounding(cx, vw, dv + dw - 1, reverse_basis)
+    x = _solve_bounding(cx, uv, du + dv - 1)
+    y = _solve_bounding(cx, vw, dv + dw - 1)
     if x is None or y is None:
         return TripleProduct(False, None, None, None, (u, w))
     rep: Chain = dict(cx.multiply_chains(u, y))
-    sign = Fraction((-1) ** du)
-    for m, cc in cx.multiply_chains(x, w).items():
-        val = rep.get(m, Fraction(0)) - sign * cc
-        if val:
-            rep[m] = val
-        else:
-            rep.pop(m, None)
+    vec_axpy(rep, cx.multiply_chains(x, w), -Fraction((-1) ** du))
     if not cx.is_cocycle(rep):
         raise MismatchError("triple-product representative failed to close")
     return TripleProduct(True, rep, x, y, (u, w))
 
 
-def _solve_bounding(cx: AtomicComplex, product: Chain, degree: int, reverse: bool) -> Chain | None:
+def _solve_bounding(cx: AtomicComplex, product: Chain, degree: int) -> Chain | None:
     target = {m: -cc for m, cc in product.items()}
     if not target:
         return {}
-    if not reverse:
-        return cx.solve_d(target, degree)
-    basis = list(reversed(cx.basis_by_degree.get(degree, [])))
-    from .linalg import express_in_span
-
-    rows = [{m2: Fraction(s) for s, m2 in cx.diff_mask(m)} for m in basis]
-    combo = express_in_span(rows, dict(target))
-    if combo is None:
-        return None
-    return {basis[i]: cc for i, cc in combo.items() if cc}
+    return cx.solve_d(target, degree)
 
 
 def indeterminacy_span(cx: AtomicComplex, u: Chain, w: Chain, degree: int) -> Echelon:
     """Span of coboundaries plus u and w times cocycles of fitting degree."""
     span = Echelon()
-    for m in cx.basis_by_degree.get(degree - 1, []):
-        span.add({mm: Fraction(s) for s, mm in cx.diff_mask(m)})
+    for row in cx.coboundaries(degree).rows.values():
+        span.add(row)
     for outer in (u, w):
         deg_outer = cx.chain_degree(outer)
         if deg_outer is None:
             continue
-        complement = degree - deg_outer
-        basis = cx.basis_by_degree.get(complement, [])
-        rows = [{m2: Fraction(s) for s, m2 in cx.diff_mask(m)} for m in basis]
-        for combo in kernel_of_rows(rows):
-            cocycle = {basis[i]: cc for i, cc in combo.items()}
+        for cocycle in cx.cocycles(degree - deg_outer):
             span.add(cx.multiply_chains(outer, cocycle))
     return span
 
@@ -349,14 +323,9 @@ def nonformality_report(
         nontrivial = False
         if triple.defined and triple.representative is not None:
             diff = dict(cert.cocycle)
-            for m, cc in triple.representative.items():
-                val = diff.get(m, Fraction(0)) - cc
-                if val:
-                    diff[m] = val
-                else:
-                    diff.pop(m, None)
+            vec_axpy(diff, triple.representative, Fraction(-1))
             matches = ideal.contains(diff)
-            nontrivial = cert.nonzero_class and not ideal.contains(dict(cert.cocycle))
+            nontrivial = cert.nonzero_class and not ideal.contains(cert.cocycle)
         nonformal = nonformal or nontrivial
         entries.append(
             {

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echarr import InputError, ResourceLimitError, build_kequal
 from echarr.atomic_complex import AtomicComplex, ComplexConfig
-from echarr.corpus import edgeless, ex28, ex28_2, mcs7, single_color, smalldude
+from echarr.corpus import edgeless, ex28, ex28_2, mcs7, random_hypergraph, single_color, smalldude
+from echarr.linalg import rank_of_rows
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +205,39 @@ class TestCohomology:
         # matching the Mobius value computed by the lattice module
         betti = AtomicComplex(build_kequal(5, 3)).cohomology(max_degree=8).betti
         assert {d: b for d, b in betti.items() if b} == {0: 1, 3: 10, 4: 15, 5: 6}
+
+
+def _check_against_ranks(cx):
+    """Betti numbers are dim C^d - rank d^d - rank d^(d-1), with every rank
+    taken from scratch; the coboundaries span the image of d, and the cocycles
+    are closed, independent and as many as they should be."""
+    rank = {
+        d: rank_of_rows([cx.d_chain({m: Fraction(1)}) for m in basis])
+        for d, basis in cx.basis_by_degree.items()
+    }
+    betti = cx.cohomology(max_degree=max(cx.basis_by_degree)).betti
+    for d, b in betti.items():
+        dim = len(cx.basis_by_degree.get(d, []))
+        assert b == dim - rank.get(d, 0) - rank.get(d - 1, 0), d
+    for d, basis in cx.basis_by_degree.items():
+        image = cx.coboundaries(d + 1)
+        assert image.rank == rank[d]
+        assert all(image.contains(cx.d_chain({m: Fraction(1)})) for m in basis)
+        cocycles = cx.cocycles(d)
+        assert len(cocycles) == len(basis) - rank[d]
+        assert rank_of_rows(cocycles) == len(cocycles)
+        assert all(cx.is_cocycle(z) and set(z) <= set(basis) for z in cocycles)
+
+
+class TestElimination:
+    def test_corpus(self, full_corpus):
+        for h in full_corpus.values():
+            _check_against_ranks(AtomicComplex(h))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_random(self, seed):
+        _check_against_ranks(AtomicComplex(random_hypergraph(random.Random(seed), 5, 4)))
 
 
 class TestSolve:

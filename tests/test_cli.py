@@ -103,6 +103,28 @@ class TestCommands:
         assert out["polynomial"] == [0, 1, -1, -1, 1]
         assert out["agree"] is True
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                EX28_TEXT,
+                '{"polynomial": [0, 1, -1, -1, 1], "methods": {"mobius": [0, 1, -1, -1, 1], '
+                '"dc": [0, 1, -1, -1, 1], "count": [0, 1, -1, -1, 1]}, "agree": true}',
+            ),
+            (
+                MCS7_TEXT,
+                '{"polynomial": [0, 1, -4, 3, 4, -5, 0, 1], "methods": {"mobius": [0, 1, -4, 3, 4, -5, 0, 1], '
+                '"dc": [0, 1, -4, 3, 4, -5, 0, 1], "count": [0, 1, -4, 3, 4, -5, 0, 1]}, "agree": true}',
+            ),
+        ],
+        ids=["ex28", "mcs7"],
+    )
+    def test_charpoly_all_exact_output(self, tmp_path, capsys, text, expected):
+        path = tmp_path / "h.json"
+        path.write_text(text)
+        assert cli.main(["charpoly", str(path), "--method", "all"]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
     def test_charpoly_single_method(self, ex28_file, capsys):
         assert cli.main(["charpoly", ex28_file, "--method", "dc"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -193,6 +215,15 @@ class TestExitCodes:
 
     def test_budget(self, ex28_file):
         assert cli.main(["charpoly", ex28_file, "--max-colorings", "5"]) == 3
+
+    @pytest.mark.parametrize("command", ["cohomology", "pi", "massey"])
+    def test_max_generators_cap(self, tmp_path, command):
+        path = tmp_path / "mcs7.json"
+        path.write_text(MCS7_TEXT)
+        # mcs7 has 5 colors, hence 32 generators
+        assert cli.main([command, str(path), "--max-generators", "16"]) == 3
+        assert cli.main([command, str(path), "--max-generators", "0"]) == 2
+        assert cli.main([command, str(path), "--max-generators", "-3"]) == 2
 
     def test_kequal_range(self):
         assert cli.main(["kequal", "3", "9"]) == 2

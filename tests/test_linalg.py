@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from echarr.linalg import (
     Echelon,
     QuotientSpace,
-    express_in_span,
     kernel_of_rows,
     rank_of_rows,
     vec_from_ints,
@@ -44,12 +43,22 @@ def test_kernel_combination_is_exact():
     assert all(v == 0 for v in acc.values())
 
 
-def test_express_in_span():
+def test_kernel_of_empty_rows():
+    assert kernel_of_rows([{}, {0: Fraction(1)}, {}]) == [{0: Fraction(1)}, {2: Fraction(1)}]
+
+
+def test_tracked_echelon_expresses_target():
     rows = [vec_from_ints([(0, 1), (1, 1)]), vec_from_ints([(1, 1)])]
-    target = vec_from_ints([(0, 2), (1, 5)])
-    coeffs = express_in_span(rows, target)
-    assert coeffs == {0: Fraction(2), 1: Fraction(3)}
-    assert express_in_span(rows[:1], vec_from_ints([(1, 1)])) is None
+    ech = Echelon(track=True)
+    for i, r in enumerate(rows):
+        ech.add(r, tag=i)
+    residue, combo = ech.reduce_with_combo(vec_from_ints([(0, 2), (1, 5)]))
+    assert residue == {}
+    assert {i: -c for i, c in combo.items()} == {0: Fraction(2), 1: Fraction(3)}
+    ech = Echelon(track=True)
+    ech.add(rows[0], tag=0)
+    residue, _ = ech.reduce_with_combo(vec_from_ints([(1, 1)]))
+    assert residue
 
 
 def test_quotient_space():

@@ -3,11 +3,14 @@ from fractions import Fraction
 import pytest
 
 from echarr.atomic_complex import AtomicComplex
+from echarr.bicomplex import word_dMu, word_dW
 from echarr.corpus import disjoint_pair, ex28_2, mcs7
 from echarr.errors import InputError
 from echarr.hypergraph import build_kequal
+from echarr.linalg import Echelon, kernel_of_rows, vec_axpy
 from echarr.massey import (
     MasseyColorSystem,
+    _class_dies_on_page_two,
     find_massey_color_systems,
     indeterminacy_span,
     kequal_no_massey,
@@ -24,6 +27,43 @@ def mcs7_setup():
     h = mcs7()
     system = MasseyColorSystem(("L1", "L2", "L3"), ("L4", "L5"), True)
     return h, system, ordered_complex(h, system)
+
+
+def _with_extra_colors(h, extra_edges):
+    edges = list(zip(map(sorted, h.edges), h.edge_colors))
+    edges += [(e, f"X{i}") for i, e in enumerate(extra_edges)]
+    return type(h).from_edge_list(h.vertex_count, edges)
+
+
+# mcs7 plus fixed extra colors: 1, 8 and 10 Massey systems
+MCS7_FAMILY = [[], [[1, 2]], [[1, 2], [1, 7]]]
+
+
+def _fresh_coboundaries(cx, degree):
+    span = Echelon()
+    for m in cx.basis_by_degree.get(degree - 1, []):
+        span.add(cx.d_chain({m: Fraction(1)}))
+    return span
+
+
+def _dies_on_page_two_reference(cx, z, degree):
+    """One span holding the coboundaries and the merged two-letter cycles."""
+    span = _fresh_coboundaries(cx, degree)
+    letters = [m for m in range(1 << cx.n) if cx.degree[m] >= 1]
+    pairs = [(m1, m2) for m1 in letters for m2 in letters if cx.degree[m1] + cx.degree[m2] == degree]
+    relations = Echelon()
+    for m1 in letters:
+        for m2 in letters:
+            if m2 >= m1 and cx.degree[m1] + cx.degree[m2] == degree + 1:
+                koszul = (cx.degree[m1] - 1) * (cx.degree[m2] - 1)
+                rel = {(m1, m2): Fraction(1)}
+                vec_axpy(rel, {(m2, m1): Fraction(1)}, Fraction((-1) ** koszul))
+                relations.add(rel)
+    rows = [relations.reduce(word_dW(cx, {pair: 1})) for pair in pairs]
+    for combo in kernel_of_rows(rows):
+        merged = word_dMu(cx, {pairs[i]: c for i, c in combo.items()})
+        span.add({word[0]: c for word, c in merged.items()})
+    return span.contains(z)
 
 
 class TestFindSystems:
@@ -72,12 +112,7 @@ class TestFindSystems:
         assert all(not s.nocolors_hypothesis for s in systems)
 
     def test_extra_refining_color_breaks_nocolors(self):
-        h = mcs7()
-        extended = type(h).from_edge_list(
-            7,
-            list(zip(map(sorted, h.edges), h.edge_colors)) + [([1, 2], "L6")],
-        )
-        systems = find_massey_color_systems(extended)
+        systems = find_massey_color_systems(_with_extra_colors(mcs7(), [[1, 2]]))
         entry = next(s for s in systems if s.triple == ("L1", "L2", "L3"))
         assert entry.nocolors_hypothesis is False
 
@@ -111,6 +146,23 @@ class TestD2Class:
         # explicitly: the class equals a product of two lower classes
         p = cx.product_masks(cx.mask_of(["L1", "L4"]), cx.mask_of(["L3", "L5"]))
         assert p is not None
+
+    @pytest.mark.parametrize("extra", MCS7_FAMILY, ids=["mcs7", "plus_one", "plus_two"])
+    def test_zero_on_page_two_matches_single_span_route(self, extra):
+        h = _with_extra_colors(mcs7(), extra)
+        seen = set()
+        for system in find_massey_color_systems(h):
+            cx = ordered_complex(h, system)
+            cert = massey_d2_class(cx, system)
+            assert cert.zero_on_e2 == _dies_on_page_two_reference(cx, cert.cocycle, cert.degree)
+            seen.add(cert.zero_on_e2)
+            # a single letter is indecomposable, so both answers are reached
+            letter = cx.mask_of(system.triple[:1])
+            z, degree = {letter: Fraction(1)}, cx.degree[letter]
+            value = _class_dies_on_page_two(cx, z, degree)
+            assert value == _dies_on_page_two_reference(cx, z, degree)
+            seen.add(value)
+        assert seen == {True, False}
 
     def test_rejects_wrong_order(self, mcs7_setup):
         h, system, _ = mcs7_setup
@@ -153,21 +205,35 @@ class TestTripleProduct:
         assert result.defined
         assert result.representative == {}
 
-    def test_bounding_choice_invariance(self, mcs7_setup):
-        _, system, cx = mcs7_setup
+    def test_bounding_choice_invariance(self):
+        # mcs7 alone admits one bounding choice only; the extra colors add
+        # cocycles in the bounding degrees
         one = Fraction(1)
-        u, v, w = ({cx.mask_of([c]): one} for c in system.triple)
-        first = massey_triple_product(cx, u, v, w)
-        second = massey_triple_product(cx, u, v, w, reverse_basis=True)
-        span = indeterminacy_span(cx, u, w, cx.chain_degree(first.representative))
-        diff = dict(first.representative)
-        for m, c in second.representative.items():
-            val = diff.get(m, Fraction(0)) - c
-            if val:
-                diff[m] = val
-            else:
-                diff.pop(m, None)
-        assert span.contains(diff)
+        changed = 0
+        for extra in MCS7_FAMILY:
+            h = _with_extra_colors(mcs7(), extra)
+            for system in find_massey_color_systems(h):
+                cx = ordered_complex(h, system)
+                u, v, w = ({cx.mask_of([c]): one} for c in system.triple)
+                du, dv, dw = (cx.chain_degree(c) for c in (u, v, w))
+                first = massey_triple_product(cx, u, v, w)
+                assert first.defined
+                x, y = first.bounding_first, first.bounding_second
+                span = indeterminacy_span(cx, u, w, du + dv + dw - 1)
+                sign = Fraction((-1) ** du)
+                # every other bounding choice differs from x or y by a cocycle
+                for bounding, degree in ((x, du + dv - 1), (y, dv + dw - 1)):
+                    for cocycle in cx.cocycles(degree):
+                        other = dict(bounding)
+                        vec_axpy(other, cocycle, one)
+                        assert cx.d_chain(other) == cx.d_chain(bounding)
+                        x2, y2 = (other, y) if bounding is x else (x, other)
+                        diff = dict(first.representative)
+                        vec_axpy(diff, cx.multiply_chains(u, y2), -one)
+                        vec_axpy(diff, cx.multiply_chains(x2, w), sign)
+                        assert span.contains(diff)
+                        changed += bool(diff)
+        assert changed
 
     def test_rejects_non_cocycles(self, mcs7_setup):
         _, _, cx = mcs7_setup
@@ -175,6 +241,26 @@ class TestTripleProduct:
         not_closed = {cx.mask_of(["L1", "L2", "L4"]): one}
         with pytest.raises(InputError):
             massey_triple_product(cx, not_closed, not_closed, not_closed)
+
+
+class TestSharedElimination:
+    @pytest.mark.parametrize("extra", MCS7_FAMILY, ids=["mcs7", "plus_one", "plus_two"])
+    def test_report_pass_leaves_cache_intact(self, extra):
+        h = _with_extra_colors(mcs7(), extra)
+        for system in find_massey_color_systems(h):
+            cx = ordered_complex(h, system)
+            cert = massey_d2_class(cx, system)
+            u, v, w = ({cx.mask_of([c]): Fraction(1)} for c in system.triple)
+            massey_triple_product(cx, u, v, w)
+            # the returned span is the caller's own to extend
+            indeterminacy_span(cx, u, w, cert.degree).add({cx.mask_of(system.colors): Fraction(1)})
+            for degree, basis in cx.basis_by_degree.items():
+                fresh = Echelon(track=True)
+                for m in basis:
+                    fresh.add(cx.d_chain({m: Fraction(1)}), tag=m)
+                cached = cx.coboundaries(degree + 1)
+                assert (cached.rows, cached.combos) == (fresh.rows, fresh.combos)
+                assert cx.cocycles(degree) == fresh.kernel
 
 
 class TestKEqualBound:
