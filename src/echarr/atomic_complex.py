@@ -3,20 +3,19 @@
 One generator per subset of colors, graded by twice the codimension of the
 joint subspace minus the subset size.  The differential drops a color whose
 subspace already contains the join of the others; the product is supported on
-transverse pairs.  Cohomology is computed with exact rational elimination.
+transverse pairs.  Cohomology is computed with exact integer elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError, ResourceLimitError
 from .hypergraph import EdgeColoredHypergraph
-from .linalg import Echelon
+from .linalg import Echelon, Vec
 
-Chain = dict[int, Fraction]  # generator bitmask -> coefficient
+Chain = Vec  # generator bitmask -> rational coefficient
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,9 @@ class AtomicComplex:
         self._diff: dict[int, list[tuple[int, int]]] = {}
         self._prod: dict[tuple[int, int], tuple[int, int] | None] = {}
         self._elim: dict[int, Echelon] = {}
+        # per degree: merged two-letter cycles modulo coboundaries, filled by
+        # massey._class_dies_on_page_two
+        self._merged_cycles: dict[int, Echelon] = {}
 
         by_degree: dict[int, list[int]] = {}
         for m in range(1 << n):
@@ -166,7 +168,7 @@ class AtomicComplex:
         out: Chain = {}
         for mask, coeff in chain.items():
             for sign, m2 in self.diff_mask(mask):
-                v = out.get(m2, Fraction(0)) + coeff * sign
+                v = out.get(m2, 0) + coeff * sign
                 if v:
                     out[m2] = v
                 else:
@@ -181,7 +183,7 @@ class AtomicComplex:
                 if p is None:
                     continue
                 sign, m = p
-                v = out.get(m, Fraction(0)) + c1 * c2 * sign
+                v = out.get(m, 0) + c1 * c2 * sign
                 if v:
                     out[m] = v
                 else:
@@ -206,7 +208,7 @@ class AtomicComplex:
         if ech is None:
             ech = Echelon(track=True)
             for m in self.basis_by_degree.get(degree, []):
-                ech.add({m2: Fraction(s) for s, m2 in self.diff_mask(m)}, tag=m)
+                ech.add({m2: s for s, m2 in self.diff_mask(m)}, tag=m)
             self._elim[degree] = ech
         return ech
 

@@ -91,6 +91,19 @@ def _complex_config(args) -> ComplexConfig:
     return ComplexConfig(max_colors=max_colors)
 
 
+def _setting(args, options: dict, name: str, default, minimum: int):
+    """The flag's value, else the file field's, else the default; an integer
+    below minimum would silently truncate every table, so it is rejected."""
+    value = getattr(args, name)
+    source = "--" + name.replace("_", "-")
+    if value is None:
+        value = options.get(name, default)
+        source = f'"{name}"'
+    if value is not None and (type(value) is not int or value < minimum):
+        raise InputError(f"{source} must be an integer of at least {minimum}")
+    return value
+
+
 def _cmd_lattice(args) -> int:
     h, _ = _load(args.file)
     lat = build_lattice(h)
@@ -161,7 +174,7 @@ def _cmd_geometric(args) -> int:
 
 def _cmd_cohomology(args) -> int:
     h, options = _load(args.file)
-    max_degree = args.max_degree if args.max_degree is not None else options.get("max_degree", 16)
+    max_degree = _setting(args, options, "max_degree", 16, 0)
     cx = AtomicComplex(h, config=_complex_config(args))
     result = cx.cohomology(max_degree=max_degree)
     out = {
@@ -176,12 +189,13 @@ def _cmd_cohomology(args) -> int:
 
 def _cmd_pi(args) -> int:
     h, options = _load(args.file)
-    max_degree = args.max_degree if args.max_degree is not None else options.get("max_degree", 8)
-    max_page = args.max_page if args.max_page is not None else options.get("max_page")
+    max_degree = _setting(args, options, "max_degree", 8, 1)
+    max_page = _setting(args, options, "max_page", None, 0)
+    max_weight = _setting(args, {}, "max_weight", None, 1)
     cx = AtomicComplex(h, config=_complex_config(args))
     bc = WordBicomplex(
         cx,
-        BicomplexConfig(max_total_degree=max_degree, max_weight=args.max_weight),
+        BicomplexConfig(max_total_degree=max_degree, max_weight=max_weight),
     )
     pages = SpectralPages(bc, max_page=max_page)
     page_table = {}

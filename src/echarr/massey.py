@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .atomic_complex import AtomicComplex, Chain, ComplexConfig, DEFAULT_CONFIG
 from .bicomplex import word_dMu, word_dW
@@ -159,31 +158,30 @@ def massey_d2_class(cx: AtomicComplex, system: MasseyColorSystem) -> D2Certifica
     if not _satisfies_system(h, a, b, c, d, e):
         raise InputError("not a Massey color system for this hypergraph")
     _check_system_order(cx, system)
-    one = Fraction(1)
     u, v, w = (cx.mask_of([x]) for x in (a, b, c))
     x_mask = cx.mask_of([a, b, d])
     y_mask = cx.mask_of([b, c, e])
 
-    uv = cx.multiply_chains({u: one}, {v: one})
-    if cx.d_chain({x_mask: one}) != {m: -cc for m, cc in uv.items()}:
+    uv = cx.multiply_chains({u: 1}, {v: 1})
+    if cx.d_chain({x_mask: 1}) != {m: -cc for m, cc in uv.items()}:
         raise MismatchError("embedded color does not bound the first product")
-    vw = cx.multiply_chains({v: one}, {w: one})
-    if cx.d_chain({y_mask: one}) != {m: -cc for m, cc in vw.items()}:
+    vw = cx.multiply_chains({v: 1}, {w: 1})
+    if cx.d_chain({y_mask: 1}) != {m: -cc for m, cc in vw.items()}:
         raise MismatchError("embedded color does not bound the second product")
 
     # z = u*y - (-1)^{|u|} x*w, the standard triple-product representative
-    z: Chain = dict(cx.multiply_chains({u: one}, {y_mask: one}))
-    vec_axpy(z, cx.multiply_chains({x_mask: one}, {w: one}), -Fraction((-1) ** cx.degree[u]))
+    z: Chain = dict(cx.multiply_chains({u: 1}, {y_mask: 1}))
+    vec_axpy(z, cx.multiply_chains({x_mask: 1}, {w: 1}), -((-1) ** cx.degree[u]))
     degree = cx.chain_degree(z)
     closed = cx.is_cocycle(z)
     nonzero = closed and not cx.is_coboundary(z)
 
     word = (u, v, w)
-    d_mu_word = word_dMu(cx, {word: one})
-    lift = {(x_mask, w): -one, (u, y_mask): -one}
+    d_mu_word = word_dMu(cx, {word: 1})
+    lift = {(x_mask, w): -1, (u, y_mask): -1}
     d_w_lift = word_dW(cx, lift)
     target = {ww: -cc for ww, cc in d_mu_word.items()}
-    d1_vanishes = not word_dW(cx, {word: one}) and d_w_lift == target
+    d1_vanishes = not word_dW(cx, {word: 1}) and d_w_lift == target
     zigzag = word_dMu(cx, lift)
     zigzag_chain = {ww[0]: cc for ww, cc in zigzag.items()}
     zigzag_matches = zigzag_chain == z
@@ -208,33 +206,38 @@ def _class_dies_on_page_two(cx: AtomicComplex, z: Chain, degree: int) -> bool:
     modulo the weight-two shuffle relations; merging kills those relations
     identically, so no further correction terms appear.
     """
-    coboundaries = cx.coboundaries(degree)
-    letters = [m for m in range(1 << cx.n) if cx.degree[m] >= 1]
-    pairs = [
-        (m1, m2)
-        for m1 in letters
-        for m2 in letters
-        if cx.degree[m1] + cx.degree[m2] == degree
-    ]
-    relations = Echelon()
-    for m1 in letters:
-        for m2 in letters:
-            if m2 < m1 or cx.degree[m1] + cx.degree[m2] != degree + 1:
-                continue
-            koszul = (cx.degree[m1] - 1) * (cx.degree[m2] - 1)
-            rel: dict = {}
-            rel[(m1, m2)] = rel.get((m1, m2), Fraction(0)) + 1
-            rel[(m2, m1)] = rel.get((m2, m1), Fraction(0)) + Fraction((-1) ** koszul)
-            relations.add({k: v for k, v in rel.items() if v})
-    rows = [relations.reduce(word_dW(cx, {pair: 1})) for pair in pairs]
     # z lies in coboundaries + merged cycles iff its residue modulo the
     # coboundaries lies in the span of the merged cycles' residues
+    residues = cx._merged_cycles.get(degree)
+    if residues is None:
+        residues = cx._merged_cycles[degree] = _merged_cycle_residues(cx, degree)
+    return residues.contains(cx.coboundaries(degree).reduce(z))
+
+
+def _merged_cycle_residues(cx: AtomicComplex, degree: int) -> Echelon:
+    """Span of the merged two-letter cycles of the degree modulo coboundaries."""
+    coboundaries = cx.coboundaries(degree)
+    letters = [m for m in range(1 << cx.n) if cx.degree[m] >= 1]
+    by_degree: dict[int, list[int]] = {}
+    for m in letters:
+        by_degree.setdefault(cx.degree[m], []).append(m)
+    pairs = [(m1, m2) for m1 in letters for m2 in by_degree.get(degree - cx.degree[m1], ())]
+    relations = Echelon()
+    for m1 in letters:
+        for m2 in by_degree.get(degree + 1 - cx.degree[m1], ()):
+            if m2 < m1:
+                continue
+            koszul = (cx.degree[m1] - 1) * (cx.degree[m2] - 1)
+            rel = {(m1, m2): 1}
+            rel[(m2, m1)] = rel.get((m2, m1), 0) + (-1) ** koszul
+            relations.add(rel)
+    rows = [relations.reduce(word_dW(cx, {pair: 1})) for pair in pairs]
     residues = Echelon()
     for combo in kernel_of_rows(rows):
         cycle = {pairs[i]: cc for i, cc in combo.items()}
         merged = word_dMu(cx, cycle)
         residues.add(coboundaries.reduce({word[0]: cc for word, cc in merged.items()}))
-    return residues.contains(coboundaries.reduce(z))
+    return residues
 
 
 @dataclass
@@ -266,7 +269,7 @@ def massey_triple_product(cx: AtomicComplex, u: Chain, v: Chain, w: Chain) -> Tr
     if x is None or y is None:
         return TripleProduct(False, None, None, None, (u, w))
     rep: Chain = dict(cx.multiply_chains(u, y))
-    vec_axpy(rep, cx.multiply_chains(x, w), -Fraction((-1) ** du))
+    vec_axpy(rep, cx.multiply_chains(x, w), -((-1) ** du))
     if not cx.is_cocycle(rep):
         raise MismatchError("triple-product representative failed to close")
     return TripleProduct(True, rep, x, y, (u, w))
@@ -315,15 +318,14 @@ def nonformality_report(
     for system in systems:
         cx = ordered_complex(h, system, config)
         cert = massey_d2_class(cx, system)
-        one = Fraction(1)
-        u, v, w = ({cx.mask_of([x]): one} for x in system.triple)
+        u, v, w = ({cx.mask_of([x]): 1} for x in system.triple)
         triple = massey_triple_product(cx, u, v, w)
         ideal = indeterminacy_span(cx, u, w, cert.degree)
         matches = False
         nontrivial = False
         if triple.defined and triple.representative is not None:
             diff = dict(cert.cocycle)
-            vec_axpy(diff, triple.representative, Fraction(-1))
+            vec_axpy(diff, triple.representative, -1)
             matches = ideal.contains(diff)
             nontrivial = cert.nonzero_class and not ideal.contains(cert.cocycle)
         nonformal = nonformal or nontrivial

@@ -15,7 +15,6 @@ letters of degree one (hyperplane-like atoms) make convergence unreliable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .atomic_complex import AtomicComplex
 from .bicomplex import BicomplexConfig, DEFAULT_BICOMPLEX_CONFIG, WordBicomplex
@@ -94,7 +93,7 @@ class SpectralPages:
             for i in range(dim)
         ]
         if r <= 0:
-            basis = [{idx: Fraction(1)} for idx, _ in variables]
+            basis = [{idx: 1} for idx, _ in variables]
             self._z_cache[key] = basis
             return basis
         if m > self.report_degree:
@@ -107,19 +106,16 @@ class SpectralPages:
         }
         rows = []
         for idx, _ in variables:
-            image = self.apply_D(m, {idx: Fraction(1)})
+            image = self.apply_D(m, {idx: 1})
             restricted: Vec = {}
             for j, c in image.items():
                 tkey, _ = self._locate(m + 1, j)
                 if tkey in constrained:
                     restricted[j] = c
             rows.append(restricted)
-        basis = []
-        for combo in kernel_of_rows(rows):
-            vec: Vec = {}
-            for i, c in combo.items():
-                vec_axpy(vec, {variables[i][0]: Fraction(1)}, c)
-            basis.append(vec)
+        basis = [
+            {variables[i][0]: c for i, c in combo.items()} for combo in kernel_of_rows(rows)
+        ]
         self._z_cache[key] = basis
         return basis
 
@@ -133,9 +129,7 @@ class SpectralPages:
         if r == 0:
             dim = self.bc.quotients.get((n, q), None)
             start = self.coords(q - n + 1).get((n, q), (0, 0))[0]
-            reps = [
-                {start + i: Fraction(1)} for i in range(dim.dim if dim else 0)
-            ]
+            reps = [{start + i: 1} for i in range(dim.dim if dim else 0)]
             self._pres_cache[key] = ([], reps)
             return self._pres_cache[key]
         m = q - n + 1

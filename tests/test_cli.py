@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from echarr import cli
 from echarr.errors import InputError
 from echarr.polynomial import IntPolynomial
+
+DATA = Path(__file__).resolve().parent / "data"
 
 EX28_TEXT = json.dumps(
     {
@@ -125,6 +128,18 @@ class TestCommands:
         assert cli.main(["charpoly", str(path), "--method", "all"]) == 0
         assert capsys.readouterr().out == expected + "\n"
 
+    @pytest.mark.parametrize(
+        "command, text, expected",
+        [("massey", MCS7_TEXT, "massey_mcs7.json"), ("pi", EX28_TEXT, "pi_ex28.json")],
+        ids=["massey-mcs7", "pi-ex28"],
+    )
+    def test_exact_output(self, tmp_path, capsys, command, text, expected):
+        # captured from the Fraction elimination that the integer kernel replaced
+        path = tmp_path / "h.json"
+        path.write_text(text)
+        assert cli.main([command, str(path)]) == 0
+        assert capsys.readouterr().out == (DATA / expected).read_text()
+
     def test_charpoly_single_method(self, ex28_file, capsys):
         assert cli.main(["charpoly", ex28_file, "--method", "dc"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -224,6 +239,45 @@ class TestExitCodes:
         assert cli.main([command, str(path), "--max-generators", "16"]) == 3
         assert cli.main([command, str(path), "--max-generators", "0"]) == 2
         assert cli.main([command, str(path), "--max-generators", "-3"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("pi", ["--max-weight", "0"]),
+            ("pi", ["--max-weight", "-2"]),
+            ("pi", ["--max-page", "-1"]),
+            ("pi", ["--max-degree", "-1"]),
+            ("pi", ["--max-degree", "0"]),
+            ("cohomology", ["--max-degree", "-1"]),
+        ],
+    )
+    def test_truncation_flag_below_minimum(self, ex28_file, capsys, command, flags):
+        assert cli.main([command, ex28_file, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "input error" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            ("pi", {"max_degree": -1}),
+            ("pi", {"max_page": -1}),
+            ("pi", {"max_degree": "8"}),
+            ("cohomology", {"max_degree": -3}),
+            ("cohomology", {"max_degree": True}),
+        ],
+    )
+    def test_truncation_field_below_minimum(self, tmp_path, capsys, command, field):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(dict(json.loads(EX28_TEXT), **field)))
+        assert cli.main([command, str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_truncation_at_minimum(self, ex28_file, capsys):
+        assert cli.main(["cohomology", ex28_file, "--max-degree", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["betti"] == {"0": 1}
+        assert cli.main(["pi", ex28_file, "--max-degree", "3", "--max-page", "0", "--max-weight", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert list(out["pages"]) == ["0"] and out["pi_ranks"] == {"1": 1, "2": 0, "3": 1}
 
     def test_kequal_range(self):
         assert cli.main(["kequal", "3", "9"]) == 2

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from echarr import massey
 from echarr.atomic_complex import AtomicComplex
 from echarr.bicomplex import word_dMu, word_dW
 from echarr.corpus import disjoint_pair, ex28_2, mcs7
@@ -163,6 +164,21 @@ class TestD2Class:
             assert value == _dies_on_page_two_reference(cx, z, degree)
             seen.add(value)
         assert seen == {True, False}
+
+    def test_page_two_pieces_built_once_per_degree(self, monkeypatch):
+        h = _with_extra_colors(mcs7(), MCS7_FAMILY[2])
+        calls = []
+        monkeypatch.setattr(massey, "kernel_of_rows", lambda rows: calls.append(1) or kernel_of_rows(rows))
+        for system in find_massey_color_systems(h):
+            cx = ordered_complex(h, system)
+            cert = massey_d2_class(cx, system)
+            cocycles = cx.cocycles(cert.degree)
+            assert len(cocycles) > 1
+            for z in cocycles:
+                answer = _class_dies_on_page_two(cx, z, cert.degree)
+                assert answer == _dies_on_page_two_reference(cx, z, cert.degree)
+            assert len(calls) == 1
+            calls.clear()
 
     def test_rejects_wrong_order(self, mcs7_setup):
         h, system, _ = mcs7_setup
