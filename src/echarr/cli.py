@@ -133,7 +133,9 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_charpoly(args) -> int:
     h, _ = _load(args.file)
-    budget = EnumerationBudget(max_points=args.max_colorings)
+    if args.max_colorings < 1:
+        raise InputError("--max-colorings must be at least 1")
+    budget = EnumerationBudget(max_partitions=args.max_colorings)
     results = {}
     if args.method in ("mobius", "all"):
         results["mobius"] = list(build_lattice(h).characteristic_polynomial().coeffs)
@@ -145,7 +147,8 @@ def _cmd_charpoly(args) -> int:
     polys = list(results.values())
     if args.method == "all":
         agree = all(p == polys[0] for p in polys)
-        # counting interpolated t = 0..n, so only t = n+1 is a new check
+        # the count sums the partition table without expanding it into a
+        # polynomial, so t = n+1 checks that expansion
         t = h.vertex_count + 1
         extra_ok = dc(t) == count_proper_colorings(h, t, budget)
         out = {"polynomial": polys[0], "methods": results, "agree": agree and extra_ok}
@@ -249,7 +252,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("charpoly", help="characteristic/chromatic polynomial")
     p.add_argument("file")
     p.add_argument("--method", choices=["mobius", "dc", "count", "all"], default="all")
-    p.add_argument("--max-colorings", type=int, default=EnumerationBudget.max_points)
+    p.add_argument(
+        "--max-colorings",
+        type=int,
+        default=EnumerationBudget.max_partitions,
+        help="cap on the vertex partitions the counting route enumerates "
+        "(Bell(n) for n vertices; default %(default)s)",
+    )
     p.set_defaults(func=_cmd_charpoly)
 
     p = sub.add_parser("geometric", help="semimodularity test with witness")

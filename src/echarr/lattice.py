@@ -7,6 +7,7 @@ partitions, equivalently containment of closed color sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -81,38 +82,32 @@ class IntersectionLattice:
         m = self.elements[i].closed_colors & self.elements[j].closed_colors
         return self._by_colors[m]
 
+    @functools.cached_property
+    def _below(self) -> list[set[int]]:
+        """Indices strictly below each element.  Elements are sorted by codim
+        and strict order raises codim, so they all come earlier in the list."""
+        return [{j for j in range(i) if self.leq(j, i)} for i in range(len(self.elements))]
+
+    @functools.cached_property
+    def _covered(self) -> list[set[int]]:
+        """Indices each element covers: below it with nothing in between."""
+        below = self._below
+        return [b.difference(*(below[j] for j in b)) for b in below]
+
     def covers(self, upper: int, lower: int) -> bool:
         """True iff upper covers lower: lower < upper with nothing between."""
-        if upper == lower or not self.leq(lower, upper):
-            return False
-        for k in range(len(self.elements)):
-            if k in (upper, lower):
-                continue
-            if self.leq(lower, k) and self.leq(k, upper):
-                return False
-        return True
+        return lower in self._covered[upper]
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """(lower, upper) pairs of the Hasse diagram."""
-        out = []
-        for i in range(len(self.elements)):
-            for j in range(len(self.elements)):
-                if i != j and self.covers(j, i):
-                    out.append((i, j))
-        return out
+        return sorted((lower, upper) for upper, lows in enumerate(self._covered) for lower in lows)
 
     def mobius(self) -> dict[int, int]:
         """mu(bottom) = 1, mu(X) = -sum of mu over elements strictly below X."""
         if self._mobius is None:
             values: dict[int, int] = {0: 1}
-            # elements are sorted by codim, and strict order increases codim,
-            # so everything strictly below i is already computed
             for i in range(1, len(self.elements)):
-                values[i] = -sum(
-                    values[j]
-                    for j in range(len(self.elements))
-                    if j != i and self.leq(j, i)
-                )
+                values[i] = -sum(values[j] for j in self._below[i])
             self._mobius = values
         return self._mobius
 

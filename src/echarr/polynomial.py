@@ -6,8 +6,7 @@ count, so a small dense coefficient vector (low-to-high) is enough.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class IntPolynomial:
@@ -80,33 +79,3 @@ class IntPolynomial:
         body = " ".join(terms).lstrip("+")
         return f"IntPolynomial({body})"
 
-
-def interpolate_integer(points: Sequence[tuple[int, int]]) -> IntPolynomial:
-    """Exact Lagrange interpolation; raises if the result is not integral.
-
-    Used to recover a degree <= len(points)-1 polynomial from exact counts.
-    """
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        # numerator polynomial prod_{j != i} (t - xj), built incrementally
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(num) + 1)
-            for k, c in enumerate(num):
-                new[k] += c * (-xj)
-                new[k + 1] += c
-            num = new
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(num):
-            coeffs[k] += c * scale
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ValueError(f"interpolation produced non-integer coefficient {c}")
-        out.append(int(c))
-    return IntPolynomial(out)

@@ -212,6 +212,12 @@ class SpectralPages:
     def e_infinity_ranks(self) -> dict[tuple[int, int], int]:
         """Stabilized ranks; when degree-one letters force a genuine weight
         cutoff, the boundary column is dropped (its killers are cut off)."""
+        if self.bc.has_degree_one_letters and self.max_weight_built == 1:
+            raise InputError(
+                "degree-one letters make the weight cap a genuine cutoff whose "
+                "boundary column is dropped, and at weight 1 that column is the "
+                "only one; use a weight cap of at least 2"
+            )
         ranks = self.page_ranks(self.stable_page)
         if self.bc.has_degree_one_letters:
             boundary = -(self.max_weight_built - 1)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,6 +26,41 @@ def hypergraphs(max_vertices=5, max_colors=3):
     )
 
 
+def reference_colorings(h, t):
+    """Proper colorings with t colors, by is_proper on one coloring at a time.
+
+    Renaming the t colors permutes the proper colorings, so they are t times
+    those that give vertex 1 the color 0.
+    """
+    if t == 0:
+        return 0
+    rest = itertools.product(range(t), repeat=h.vertex_count - 1)
+    return t * sum(1 for c in rest if is_proper(h, (0,) + c))
+
+
+def reference_cube_points(h, s):
+    """Points of {-s..s}^n off the arrangement, one point at a time: a point
+    lies on a color's subspace when it is constant along every component of
+    that color's edges."""
+    subspaces = [h.components([c]) for c in h.colors]
+
+    def on(point, components):
+        return all(len({point[v - 1] for v in comp}) == 1 for comp in components)
+
+    return sum(
+        1
+        for point in itertools.product(range(-s, s + 1), repeat=h.vertex_count)
+        if not any(on(point, components) for components in subspaces)
+    )
+
+
+def assert_matches_enumeration(h, label=None):
+    for t in range(h.vertex_count + 2):
+        assert count_proper_colorings(h, t) == reference_colorings(h, t), (label, t)
+    for s in (1, 2):
+        assert integer_point_count(h, s) == reference_cube_points(h, s), (label, s)
+
+
 class TestIsProper:
     def test_ex28_improper(self, ex28):
         assert not is_proper(ex28, (1, 1, 2, 2))
@@ -47,13 +83,21 @@ class TestCounting:
         assert count_proper_colorings(edgeless(2), 5) == 25
 
     def test_budget(self, ex28):
-        with pytest.raises(ResourceLimitError) as err:
-            count_proper_colorings(ex28, 10, EnumerationBudget(max_points=100))
-        assert err.value.limit == 100
+        # ex28 has Bell(4) = 15 vertex partitions; the cap counts those, not
+        # the 10^4 colorings with 10 colors
+        for count in (
+            lambda b: count_proper_colorings(ex28, 10, b),
+            lambda b: integer_point_count(ex28, 2, b),
+            lambda b: chromatic_polynomial_by_counting(ex28, b),
+        ):
+            with pytest.raises(ResourceLimitError) as err:
+                count(EnumerationBudget(max_partitions=14))
+            assert err.value.limit == 14
+        for cap in (15, 100):
+            budget = EnumerationBudget(max_partitions=cap)
+            assert count_proper_colorings(ex28, 10, budget) == chromatic_polynomial(ex28)(10)
 
     def test_matches_bruteforce_python(self, ex28_2):
-        import itertools
-
         t = 3
         expected = sum(
             1
@@ -61,6 +105,19 @@ class TestCounting:
             if is_proper(ex28_2, c)
         )
         assert count_proper_colorings(ex28_2, t) == expected
+
+
+class TestAgainstEnumeration:
+    """The partition sum against the colorings and points it stands for."""
+
+    def test_corpus(self, full_corpus):
+        for name, h in full_corpus.items():
+            assert_matches_enumeration(h, name)
+
+    @settings(max_examples=25, deadline=None)
+    @given(h=hypergraphs(max_vertices=6, max_colors=4))
+    def test_random(self, h):
+        assert_matches_enumeration(h)
 
 
 class TestIntegerPoints:
@@ -111,7 +168,7 @@ class TestDeletionContraction:
 
 
 class TestThreeWayAgreement:
-    def test_counting_interpolation(self, ex28):
+    def test_counting_ex28(self, ex28):
         assert chromatic_polynomial_by_counting(ex28) == IntPolynomial([0, 1, -1, -1, 1])
 
     def test_contraction_killing_another_color(self):

@@ -231,6 +231,25 @@ class TestExitCodes:
     def test_budget(self, ex28_file):
         assert cli.main(["charpoly", ex28_file, "--max-colorings", "5"]) == 3
 
+    def test_max_colorings_counts_partitions(self, ex28_file, capsys):
+        # ex28 has Bell(4) = 15 vertex partitions
+        assert cli.main(["charpoly", ex28_file, "--max-colorings", "14"]) == 3
+        assert cli.main(["charpoly", ex28_file, "--max-colorings", "15"]) == 0
+        assert json.loads(capsys.readouterr().out)["agree"] is True
+        for value in ("0", "-1"):
+            assert cli.main(["charpoly", ex28_file, "--max-colorings", value]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--max-colorings" in captured.err
+
+    def test_weight_one_with_degree_one_letters(self, ex28_file, capsys):
+        # ex28 has a degree-one letter, so weight 1 is the boundary column
+        # that the stabilized report drops, and nothing would be left
+        assert cli.main(["pi", ex28_file, "--max-weight", "1", "--max-degree", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "weight cap of at least 2" in captured.err
+        assert cli.main(["pi", ex28_file, "--max-weight", "2", "--max-degree", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["pi_ranks"]["1"] == 1
+
     @pytest.mark.parametrize("command", ["cohomology", "pi", "massey"])
     def test_max_generators_cap(self, tmp_path, command):
         path = tmp_path / "mcs7.json"
@@ -292,3 +311,9 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["polynomial"] == [0, 1, -1, -1, 1]
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, echarr, echarr.cli; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "import echarr loaded numpy"

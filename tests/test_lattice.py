@@ -143,6 +143,28 @@ class TestCoversAndGeometric:
         for a in lat.atom_indices:
             assert lat.covers(a, 0)
 
+    def test_relations_match_definitions(self, full_corpus):
+        # covers and Mobius values against their definitions, element by element
+        for name, h in full_corpus.items():
+            lat = build_lattice(h)
+            n = len(lat)
+            mu = lat.mobius()
+            for upper in range(n):
+                if upper:
+                    assert mu[upper] == -sum(mu[j] for j in range(n) if j != upper and lat.leq(j, upper))
+                for lower in range(n):
+                    expected = (
+                        lower != upper
+                        and lat.leq(lower, upper)
+                        and not any(
+                            k not in (lower, upper) and lat.leq(lower, k) and lat.leq(k, upper)
+                            for k in range(n)
+                        )
+                    )
+                    assert lat.covers(upper, lower) == expected, (name, lower, upper)
+            expected_pairs = [(i, j) for i in range(n) for j in range(n) if lat.covers(j, i)]
+            assert lat.cover_pairs() == expected_pairs, name
+
     def test_smalldude_not_geometric(self, smalldude):
         assert not is_geometric(smalldude)
         witness = build_lattice(smalldude).semimodularity_witness()

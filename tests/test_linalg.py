@@ -11,7 +11,6 @@ from echarr.atomic_complex import AtomicComplex
 from echarr.bicomplex import BicomplexConfig, WordBicomplex
 from echarr.corpus import ex28, full_corpus
 from echarr.linalg import Echelon, QuotientSpace, kernel_of_rows, rank_of_rows
-from echarr.polynomial import IntPolynomial, interpolate_integer
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from reference import kernel_mod_p, mod_p, rank_mod_p  # noqa: E402
@@ -106,12 +105,6 @@ def test_echelon_membership(seed):
             combo[k] = combo.get(k, 0) + c * x
     combo = {k: v for k, v in combo.items() if v}
     assert ech.contains(combo)
-
-
-def test_interpolation_roundtrip():
-    poly = IntPolynomial([3, -2, 0, 5])
-    points = [(t, poly(t)) for t in range(5)]
-    assert interpolate_integer(points) == poly
 
 
 # -- differential test against the Fraction elimination it replaced -------------
