@@ -11,11 +11,15 @@ Sign conventions use desuspended letter degrees (degree minus one) in every
 Koszul factor; on two-letter words the merge reduces to (-1)^{|a|} (ab).  The
 build asserts d_W^2 = 0, d_mu^2 = 0, anticommutation, and stability of the
 shuffle span, and refuses to hand back a complex that fails any of them.
+
+Within one build every signed shuffle product and every single-word image of
+the two differentials is computed once: the relations, the induced maps and
+the checks read the same tables, which are dropped when the build returns.
 """
 
 from __future__ import annotations
 
-import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .atomic_complex import AtomicComplex
@@ -75,6 +79,19 @@ def word_dMu(cx: AtomicComplex, vec: WordVec) -> WordVec:
     return out
 
 
+class _BuildMemo:
+    """Signed shuffles, single-word images and interned words of one build."""
+
+    __slots__ = ("shuffles", "dW", "dMu", "words")
+
+    def __init__(self, words_by_bidegree: dict[tuple[int, int], list[Word]]):
+        self.shuffles: dict[tuple[Word, Word], WordVec] = {}
+        self.dW: dict[Word, WordVec] = {}
+        self.dMu: dict[Word, WordVec] = {}
+        # equal words share the enumerated tuple
+        self.words: dict[Word, Word] = {w: w for ws in words_by_bidegree.values() for w in ws}
+
+
 class WordBicomplex:
     """Truncated word bicomplex of an atomic complex.
 
@@ -101,27 +118,41 @@ class WordBicomplex:
         self._enumerate_words()
         self.quotients: dict[tuple[int, int], QuotientSpace] = {}
         self._word_index: dict[tuple[int, int], dict[Word, int]] = {}
-        for key, words in self.words_by_bidegree.items():
-            self._word_index[key] = {w: i for i, w in enumerate(words)}
-            self.quotients[key] = QuotientSpace(len(words), self._shuffle_relations(key))
-
-        # induced maps only for sources inside the reporting window
         self.dW: dict[tuple[int, int], list[Vec]] = {}
         self.dMu: dict[tuple[int, int], list[Vec]] = {}
-        for (n, q), quo in self.quotients.items():
-            if q - n + 1 > config.max_total_degree:
-                continue
-            self.dW[(n, q)] = [
-                self.project(self.word_dW({self._lift_word((n, q), i): 1}), (n, q + 1))
-                for i in range(quo.dim)
-            ]
-            self.dMu[(n, q)] = [
-                self.project(self.word_dMu({self._lift_word((n, q), i): 1}), (n - 1, q))
-                for i in range(quo.dim)
-            ]
+        self._memo: _BuildMemo | None = None
+        with self._memoised():
+            for key, words in self.words_by_bidegree.items():
+                self._word_index[key] = {w: i for i, w in enumerate(words)}
+                self.quotients[key] = QuotientSpace(len(words), self._shuffle_relations(key))
 
-        if config.validate:
-            self.self_validate()
+            # induced maps only for sources inside the reporting window
+            for (n, q), quo in self.quotients.items():
+                if q - n + 1 > config.max_total_degree:
+                    continue
+                self.dW[(n, q)] = [
+                    self.project(self.word_dW({self._lift_word((n, q), i): 1}), (n, q + 1))
+                    for i in range(quo.dim)
+                ]
+                self.dMu[(n, q)] = [
+                    self.project(self.word_dMu({self._lift_word((n, q), i): 1}), (n - 1, q))
+                    for i in range(quo.dim)
+                ]
+
+            if config.validate:
+                self.self_validate()
+
+    @contextmanager
+    def _memoised(self):
+        """Share shuffles and word images until the outermost caller returns."""
+        if self._memo is not None:
+            yield
+            return
+        self._memo = _BuildMemo(self.words_by_bidegree)
+        try:
+            yield
+        finally:
+            self._memo = None
 
     # -- enumeration ---------------------------------------------------------
 
@@ -166,38 +197,65 @@ class WordBicomplex:
     # -- free-space differentials ---------------------------------------------
 
     def word_dW(self, vec: WordVec) -> WordVec:
-        return word_dW(self.cx, vec)
+        memo = self._memo
+        if memo is None:
+            return word_dW(self.cx, vec)
+        return self._compose(vec, memo.dW, word_dW)
 
     def word_dMu(self, vec: WordVec) -> WordVec:
-        return word_dMu(self.cx, vec)
+        memo = self._memo
+        if memo is None:
+            return word_dMu(self.cx, vec)
+        return self._compose(vec, memo.dMu, word_dMu)
+
+    def _compose(self, vec: WordVec, images: dict[Word, WordVec], differential) -> WordVec:
+        """Sum of the single-word images, each computed once per build."""
+        intern = self._memo.words.setdefault
+        out: WordVec = {}
+        for word, coeff in vec.items():
+            image = images.get(word)
+            if image is None:
+                image = images[word] = {
+                    intern(w, w): c for w, c in differential(self.cx, {word: 1}).items()
+                }
+            for w, c in image.items():
+                c = out.get(w, 0) + coeff * c
+                if c:
+                    out[w] = c
+                else:
+                    out.pop(w, None)
+        return out
 
     def shuffle(self, u: Word, v: Word) -> WordVec:
-        """Signed shuffle product; Koszul factors use degree-minus-one."""
-        out: WordVec = {}
-        nu, nv = len(u), len(v)
-        su = [self.cx.degree[m] - 1 for m in u]
-        sv = [self.cx.degree[m] - 1 for m in v]
-        total_su = sum(su)
-        for positions in itertools.combinations(range(nu + nv), nu):
-            word: list[int] = []
-            iu = iv = 0
-            sign = 1
-            remaining_u = total_su
-            pos_iter = iter(positions)
-            next_pos = next(pos_iter, -1)
-            for k in range(nu + nv):
-                if k == next_pos:
-                    word.append(u[iu])
-                    remaining_u -= su[iu]
-                    iu += 1
-                    next_pos = next(pos_iter, -1)
-                else:
-                    # the v-letter crosses every u-letter not yet placed
-                    if (sv[iv] * remaining_u) & 1:
-                        sign = -sign
-                    word.append(v[iv])
-                    iv += 1
-            _wv_add(out, tuple(word), sign)
+        """Signed shuffle product; Koszul factors use degree-minus-one.
+
+        u sh v = u0 (u[1:] sh v) + (-1)^{|v0|' |u|'} v0 (u sh v[1:]), where
+        |x|' is the desuspended degree and u sh () = u.  Within a build each
+        pair is computed once and the result is shared, so callers must not
+        change it.
+        """
+        if not u or not v:
+            return {u or v: 1}
+        memo = self._memo
+        if memo is None:
+            with self._memoised():
+                return self.shuffle(u, v)
+        out = memo.shuffles.get((u, v))
+        if out is not None:
+            return out
+        intern = memo.words.setdefault
+        degree = self.cx.degree
+        head = u[0]
+        out = {}
+        for w, c in self.shuffle(u[1:], v).items():
+            w = (head,) + w
+            out[intern(w, w)] = c
+        head = v[0]
+        flip = -1 if (degree[head] - 1) * sum(degree[m] - 1 for m in u) & 1 else 1
+        for w, c in self.shuffle(u, v[1:]).items():
+            w = (head,) + w
+            _wv_add(out, intern(w, w), flip * c)
+        memo.shuffles[intern(u, u), intern(v, v)] = out
         return out
 
     def _split_pairs(self, key: tuple[int, int]):
@@ -235,69 +293,52 @@ class WordBicomplex:
 
     def self_validate(self) -> None:
         """Sign conventions are rejected loudly if any identity fails."""
-        for key in self.bidegrees():
-            for word in self.words_by_bidegree[key]:
-                one = {word: 1}
-                if self.word_dW(self.word_dW(one)):
-                    raise AssertionError(f"d_W^2 != 0 on {word}")
-                if self.word_dMu(self.word_dMu(one)):
-                    raise AssertionError(f"d_mu^2 != 0 on {word}")
-                anti = self.word_dW(self.word_dMu(one))
-                for w, c in self.word_dMu(self.word_dW(one)).items():
-                    _wv_add(anti, w, c)
-                if anti:
-                    raise AssertionError(f"d_W d_mu + d_mu d_W != 0 on {word}")
-        self._validate_shuffle_stability()
+        with self._memoised():
+            for key in self.bidegrees():
+                for word in self.words_by_bidegree[key]:
+                    one = {word: 1}
+                    dw, dmu = self.word_dW(one), self.word_dMu(one)
+                    if self.word_dW(dw):
+                        raise AssertionError(f"d_W^2 != 0 on {word}")
+                    if self.word_dMu(dmu):
+                        raise AssertionError(f"d_mu^2 != 0 on {word}")
+                    anti = self.word_dW(dmu)
+                    for w, c in self.word_dMu(dw).items():
+                        _wv_add(anti, w, c)
+                    if anti:
+                        raise AssertionError(f"d_W d_mu + d_mu d_W != 0 on {word}")
+            self._validate_shuffle_stability()
 
     def _validate_shuffle_stability(self) -> None:
         # derivation identity: d(u sh v) = du sh v +- u sh dv exhibits the
         # differential of every relation generator inside the span; when both
         # target quotients are zero the span is everything and stability is
-        # automatic, so those pairs are skipped
-        for key in self.bidegrees():
-            n, q = key
-            targets = (self.quotients.get((n, q + 1)), self.quotients.get((n - 1, q)))
-            if all(t is None or t.dim == 0 for t in targets):
-                continue
-            for u, v in self._split_pairs(key):
-                self._check_derivation(u, v)
-        # belt and braces: direct matrix containment on small bidegrees
+        # automatic, so those bidegrees are skipped.  Belt and braces: on
+        # small bidegrees the same images are also projected directly.
         limit = self.config.containment_dim_limit
         for key in self.bidegrees():
-            words = self.words_by_bidegree[key]
-            if len(words) > limit:
-                continue
             n, q = key
-            for rel_coords in self._shuffle_relations(key):
-                rel = {words[i]: c for i, c in rel_coords.items()}
-                for image, target in (
-                    (self.word_dW(rel), (n, q + 1)),
-                    (self.word_dMu(rel), (n - 1, q)),
-                ):
-                    if target in self.quotients and self.project(image, target):
-                        raise AssertionError(
-                            f"differential leaves the shuffle span at {key}"
-                        )
-
-    def _check_derivation(self, u: Word, v: Word) -> None:
-        tu = sum(self.cx.degree[m] - 1 for m in u)
-        sign = -1 if tu & 1 else 1
-        all_closed = all(not self.cx.diff_mask(m) for m in u + v)
-        for dop in (self.word_dW, self.word_dMu):
-            if dop is self.word_dW and all_closed:
-                # every letter of every shuffled word is closed, so both
-                # sides vanish identically
+            targets = ((n, q + 1), (n - 1, q))
+            if not any(t in self.quotients and self.quotients[t].dim for t in targets):
                 continue
-            lhs = dop(self.shuffle(u, v))
-            rhs: WordVec = {}
-            for w, c in dop({u: 1}).items():
-                for w2, c2 in self.shuffle(w, v).items():
-                    _wv_add(rhs, w2, c * c2)
-            for w, c in dop({v: 1}).items():
-                for w2, c2 in self.shuffle(u, w).items():
-                    _wv_add(rhs, w2, sign * c * c2)
-            diff = dict(lhs)
-            for w, c in rhs.items():
-                _wv_add(diff, w, -c)
-            if diff:
-                raise AssertionError(f"shuffle derivation identity fails for {u} sh {v}")
+            contain = len(self.words_by_bidegree[key]) <= limit
+            for u, v in self._split_pairs(key):
+                rel = self.shuffle(u, v)
+                for dop, target in zip((self.word_dW, self.word_dMu), targets):
+                    image = dop(rel)
+                    self._check_derivation(u, v, dop, image)
+                    if contain and target in self.quotients and self.project(image, target):
+                        raise AssertionError(f"differential leaves the shuffle span at {key}")
+
+    def _check_derivation(self, u: Word, v: Word, dop, image: WordVec) -> None:
+        """image = dop(u sh v) must equal dop(u) sh v + (-1)^{|u|'} u sh dop(v)."""
+        odd_u = sum(self.cx.degree[m] - 1 for m in u) & 1
+        diff = dict(image)
+        for w, c in dop({u: 1}).items():
+            for w2, c2 in self.shuffle(w, v).items():
+                _wv_add(diff, w2, -c * c2)
+        for w, c in dop({v: 1}).items():
+            for w2, c2 in self.shuffle(u, w).items():
+                _wv_add(diff, w2, (c if odd_u else -c) * c2)
+        if diff:
+            raise AssertionError(f"shuffle derivation identity fails for {u} sh {v}")
