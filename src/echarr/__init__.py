@@ -8,7 +8,6 @@ from .chromatic import (
     chromatic_polynomial_by_counting,
     count_proper_colorings,
     integer_point_count,
-    is_proper,
 )
 from .errors import InputError, MismatchError, ResourceLimitError
 from .hypergraph import EdgeColoredHypergraph, Violation, build_kequal
@@ -51,7 +50,6 @@ __all__ = [
     "homotopy_ranks",
     "integer_point_count",
     "is_geometric",
-    "is_proper",
     "kequal_no_massey",
     "massey_d2_class",
     "massey_triple_product",

@@ -108,9 +108,6 @@ class AtomicComplex:
     def colors_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.order[i] for i in range(self.n) if mask >> i & 1)
 
-    def degree_of(self, colors: Iterable[str]) -> int:
-        return self.degree[self.mask_of(colors)]
-
     # -- differential ---------------------------------------------------------
 
     def _removable(self, bit: int, rest_mask: int) -> bool:
@@ -134,9 +131,6 @@ class AtomicComplex:
             self._diff[mask] = terms
         return self._diff[mask]
 
-    def differential_of(self, colors: Iterable[str]) -> list[tuple[int, tuple[str, ...]]]:
-        return [(c, self.colors_of(m)) for c, m in self.diff_mask(self.mask_of(colors))]
-
     # -- product ----------------------------------------------------------------
 
     def product_masks(self, m1: int, m2: int) -> tuple[int, int] | None:
@@ -154,13 +148,6 @@ class AtomicComplex:
                     t ^= low
                 self._prod[key] = ((-1) ** (eps & 1), m1 | m2)
         return self._prod[key]
-
-    def product_of(self, colors1: Iterable[str], colors2: Iterable[str]):
-        out = self.product_masks(self.mask_of(colors1), self.mask_of(colors2))
-        if out is None:
-            return None
-        sign, mask = out
-        return sign, self.colors_of(mask)
 
     # -- chain arithmetic -----------------------------------------------------
 

@@ -17,7 +17,7 @@ arrangement are the same partition sum at t = 2s+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import ResourceLimitError
 from .hypergraph import EdgeColoredHypergraph
@@ -36,18 +36,6 @@ class EnumerationBudget:
 
 
 DEFAULT_BUDGET = EnumerationBudget()
-
-
-def is_proper(h: EdgeColoredHypergraph, coloring: Sequence[int]) -> bool:
-    """True iff every color has some connected component that is not
-    monochromatic under the vertex coloring (vertex v gets coloring[v-1])."""
-    if len(coloring) != h.vertex_count:
-        raise ValueError("coloring must assign a value to every vertex")
-    for c in h.colors:
-        components = h.components([c])
-        if not any(len({coloring[v - 1] for v in comp}) > 1 for comp in components):
-            return False
-    return True
 
 
 def _bell(n: int) -> int:

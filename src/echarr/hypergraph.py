@@ -146,9 +146,6 @@ class EdgeColoredHypergraph:
                 return False
         return True
 
-    def equivalent(self, gamma1: Iterable[str], gamma2: Iterable[str]) -> bool:
-        return self.refines(gamma1, gamma2) and self.refines(gamma2, gamma1)
-
     def closure(self, colors: Iterable[str]) -> ColorSet:
         """Maximal color set with the same components; a closure operator."""
         gamma = self._check_colors(colors)
@@ -159,10 +156,6 @@ class EdgeColoredHypergraph:
         g1 = self._check_colors(gamma1)
         g2 = self._check_colors(gamma2)
         return self.codim(g1) + self.codim(g2) == self.codim(g1 | g2)
-
-    def meet_colors(self, gamma1: Iterable[str], gamma2: Iterable[str]) -> ColorSet:
-        """Closed color set of the meet; empty encodes the ambient space."""
-        return self.closure(gamma1) & self.closure(gamma2)
 
     # -- deletion and contraction -----------------------------------------
 

@@ -62,12 +62,6 @@ class IntersectionLattice:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def index_of(self, colors) -> int:
-        key = self.hypergraph.closure(colors)
-        if key not in self._by_colors:
-            raise InputError(f"no lattice element for colors {sorted(colors)}")
-        return self._by_colors[key]
-
     def leq(self, i: int, j: int) -> bool:
         """i <= j iff the partition of i refines that of j."""
         return self.elements[i].closed_colors <= self.elements[j].closed_colors

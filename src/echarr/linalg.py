@@ -181,13 +181,6 @@ class Echelon:
         return not residue
 
 
-def rank_of_rows(rows: Sequence[Vec]) -> int:
-    ech = Echelon()
-    for r in rows:
-        ech.add(r)
-    return ech.rank
-
-
 def kernel_of_rows(rows: Sequence[Vec]) -> list[Vec]:
     """Basis of {x : sum_i x[i] * rows[i] = 0} (left kernel)."""
     ech = Echelon(track=True)

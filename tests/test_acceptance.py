@@ -33,6 +33,7 @@ from echarr.massey import (
 from echarr.polynomial import IntPolynomial
 from echarr.spectral import homotopy_ranks
 from echarr import cli
+from helpers import degree_of
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +180,7 @@ def test_criterion_05_dga_validity_suite(instances):
 def test_criterion_06_kequal_vanishing():
     h = build_kequal(5, 3)
     cx = AtomicComplex(h)
-    assert {cx.degree_of([c]) for c in h.colors} == {3}  # 2k-3 with k=3
+    assert {degree_of(cx, [c]) for c in h.colors} == {3}  # 2k-3 with k=3
     top = kequal_top_degree(5, 3)
     assert top == 5
     result = cx.cohomology(max_degree=12)

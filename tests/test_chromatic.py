@@ -15,9 +15,9 @@ from echarr import (
     chromatic_polynomial_by_counting,
     count_proper_colorings,
     integer_point_count,
-    is_proper,
 )
 from echarr.corpus import edgeless, random_hypergraph
+from helpers import is_proper
 
 
 def hypergraphs(max_vertices=5, max_colors=3):

@@ -11,16 +11,8 @@ from echarr.polynomial import IntPolynomial
 
 DATA = Path(__file__).resolve().parent / "data"
 
-EX28_TEXT = json.dumps(
-    {
-        "vertices": 4,
-        "edges": [
-            {"vertices": [1, 2], "color": "R"},
-            {"vertices": [2, 3], "color": "B"},
-            {"vertices": [3, 4], "color": "R"},
-        ],
-    }
-)
+# the installed-only CI job also reads this file
+EX28_TEXT = (DATA / "ex28.json").read_text()
 
 SMALLDUDE_TEXT = json.dumps(
     {
@@ -44,6 +36,16 @@ MCS7_TEXT = json.dumps(
             {"vertices": [4, 5, 6], "color": "L5"},
         ],
         "order": ["L1", "L2", "L3", "L4", "L5"],
+    }
+)
+
+PAIR_TEXT = json.dumps(
+    {
+        "vertices": 6,
+        "edges": [
+            {"vertices": [1, 2, 3], "color": "A"},
+            {"vertices": [4, 5, 6], "color": "B"},
+        ],
     }
 )
 
@@ -130,11 +132,19 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "command, text, expected",
-        [("massey", MCS7_TEXT, "massey_mcs7.json"), ("pi", EX28_TEXT, "pi_ex28.json")],
-        ids=["massey-mcs7", "pi-ex28"],
+        [
+            ("massey", MCS7_TEXT, "massey_mcs7.json"),
+            ("pi", EX28_TEXT, "pi_ex28.json"),
+            # mcs7 has even-degree letters; the pair's page table runs to r = 12
+            ("pi", json.dumps(dict(json.loads(MCS7_TEXT), max_degree=6, max_page=6)), "pi_mcs7.json"),
+            ("pi", json.dumps(dict(json.loads(PAIR_TEXT), max_page=12)), "pi_disjoint_pair.json"),
+        ],
+        ids=["massey-mcs7", "pi-ex28", "pi-mcs7", "pi-disjoint-pair"],
     )
     def test_exact_output(self, tmp_path, capsys, command, text, expected):
-        # captured from the Fraction elimination that the integer kernel replaced
+        # captured before the integer kernel (massey, pi on ex28) and before the
+        # persistence pairing (pi on mcs7 and the disjoint pair) replaced the
+        # routes that computed them
         path = tmp_path / "h.json"
         path.write_text(text)
         assert cli.main([command, str(path)]) == 0

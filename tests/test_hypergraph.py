@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from echarr import EdgeColoredHypergraph, InputError, build_kequal
 from echarr.corpus import ex28, ex28_2, random_hypergraph
+from helpers import equivalent, meet_colors
 
 import random
 
@@ -96,7 +97,7 @@ class TestClosure:
         cl = h.closure(gamma)
         assert gamma <= cl
         assert h.closure(cl) == cl
-        assert h.equivalent(gamma, cl)
+        assert equivalent(h, gamma, cl)
         bigger = data.draw(subset_of_colors(h))
         if gamma <= bigger:
             assert cl <= h.closure(bigger)
@@ -109,14 +110,14 @@ class TestMultiplicativeAndMeet:
         assert ex28_2.multiplicative(["R", "B"], [])
 
     def test_meet_examples(self, ex28, ex28_2):
-        assert ex28.meet_colors(["R"], ["B"]) == frozenset()
-        assert ex28_2.meet_colors(["R", "G"], ["B"]) == {"B"}
+        assert meet_colors(ex28, ["R"], ["B"]) == frozenset()
+        assert meet_colors(ex28_2, ["R", "G"], ["B"]) == {"B"}
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), h=hypergraphs())
     def test_meet_idempotent(self, data, h):
         gamma = data.draw(subset_of_colors(h))
-        assert h.meet_colors(gamma, gamma) == h.closure(gamma)
+        assert meet_colors(h, gamma, gamma) == h.closure(gamma)
 
 
 class TestDeleteContract:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from echarr import IntPolynomial, build_kequal, build_lattice, is_geometric
 from echarr.corpus import edgeless, random_hypergraph
 from echarr.hypergraph import EdgeColoredHypergraph
+from helpers import index_of
 
 
 def hypergraphs(max_vertices=5, max_colors=3):
@@ -135,9 +136,9 @@ class TestCharacteristicPolynomial:
 class TestCoversAndGeometric:
     def test_smalldude_cover_examples(self, smalldude):
         lat = build_lattice(smalldude)
-        bc = lat.index_of(["b", "c"])
-        b = lat.index_of(["b"])
-        top = lat.index_of(["a", "b", "c"])
+        bc = index_of(lat, ["b", "c"])
+        b = index_of(lat, ["b"])
+        top = index_of(lat, ["a", "b", "c"])
         assert lat.covers(bc, b)
         assert not lat.covers(top, b)
         for a in lat.atom_indices:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from echarr.atomic_complex import AtomicComplex
 from echarr.bicomplex import BicomplexConfig, WordBicomplex
 from echarr.corpus import ex28, full_corpus
-from echarr.linalg import Echelon, QuotientSpace, kernel_of_rows, rank_of_rows
+from echarr.linalg import Echelon, QuotientSpace, kernel_of_rows
+from helpers import rank_of_rows
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from reference import kernel_mod_p, mod_p, rank_mod_p  # noqa: E402

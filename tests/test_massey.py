@@ -21,6 +21,7 @@ from echarr.massey import (
     nonformality_report,
     ordered_complex,
 )
+from helpers import degree_of
 
 
 @pytest.fixture(scope="module")
@@ -137,8 +138,8 @@ class TestD2Class:
         # a1|a2|a3 sits in column -2 with total degree 7, hitting degree 8
         for colors in (("L1", "L2", "L3", "L4"), ("L1", "L2", "L3", "L5")):
             assert cx.hypergraph.codim(colors) == 6
-            assert cx.degree_of(colors) == 8
-        assert sum(cx.degree_of([c]) for c in ("L1", "L2", "L3")) - 2 == 7
+            assert degree_of(cx, colors) == 8
+        assert sum(degree_of(cx, [c]) for c in ("L1", "L2", "L3")) - 2 == 7
 
     def test_class_is_decomposable_hence_zero_on_page_two(self, mcs7_setup):
         _, system, cx = mcs7_setup
