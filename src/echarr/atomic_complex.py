@@ -86,9 +86,7 @@ class AtomicComplex:
         self._diff: dict[int, list[tuple[int, int]]] = {}
         self._prod: dict[tuple[int, int], tuple[int, int] | None] = {}
         self._elim: dict[int, Echelon] = {}
-        # per degree: merged two-letter cycles modulo coboundaries, filled by
-        # massey._class_dies_on_page_two
-        self._merged_cycles: dict[int, Echelon] = {}
+        self._decomposables: dict[int, Echelon] = {}
 
         by_degree: dict[int, list[int]] = {}
         for m in range(1 << n):
@@ -207,6 +205,21 @@ class AtomicComplex:
     def cocycles(self, degree: int) -> list[Chain]:
         """Basis of the cocycles of the given degree; shared, read only."""
         return self._elimination(degree).kernel
+
+    def decomposables(self, degree: int) -> Echelon:
+        """Products of positive-degree cocycles modulo the coboundaries, built
+        once per degree; shared, read only.  Products commute up to sign, so
+        the lower factor's degree runs to half the degree."""
+        span = self._decomposables.get(degree)
+        if span is None:
+            span = Echelon()
+            coboundaries = self.coboundaries(degree)
+            for low in range(1, degree // 2 + 1):
+                for c1 in self.cocycles(low):
+                    for c2 in self.cocycles(degree - low):
+                        span.add(coboundaries.reduce(self.multiply_chains(c1, c2)))
+            self._decomposables[degree] = span
+        return span
 
     def cohomology(self, max_degree: int | None = None) -> Cohomology:
         """Betti numbers and reduced cocycle representatives per degree."""

@@ -227,7 +227,10 @@ class EdgeColoredHypergraph:
         return out
 
 
-@lru_cache(maxsize=None)
+# Bounded for long-running processes.  A request's working set is far below
+# it: on the benchmark catalogs at seed 1, at most 280 entries for charpoly,
+# 1,024 (every color subset of a 10-color model) for model and 32 for pi.
+@lru_cache(maxsize=4096)
 def _components(h: EdgeColoredHypergraph, gamma: ColorSet) -> tuple[frozenset[int], ...]:
     ds = _DisjointSet()
     touched: set[int] = set()

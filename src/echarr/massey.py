@@ -7,6 +7,17 @@ colors, and the resulting cocycle is supported on the two four-color
 generators.  When its class survives in cohomology and avoids the
 indeterminacy ideal, the complement admits a non-trivial Massey product and
 cannot be formal.
+
+Every system of a hypergraph is certified in one complex, whatever its color
+order: re-ordering the colors maps g_m to e(m) g_m, with e(m) the sign of the
+permutation that sorts m's colors into the new order, and this map is a DGA
+isomorphism.  So the bounding generators carry the signs e(a,b,d), e(b,c,e).
+
+A cocycle dies on page two iff it is a coboundary plus the merge of a
+two-letter cycle.  Over Q, by Kunneth in characteristic 0 (Felix-Halperin-
+Thomas, *Rational Homotopy Theory*, 2001), the two-letter column's homology is
+the graded symmetric square of H^+ and merging sends it onto H^+ * H^+, so
+these merged cycles modulo coboundaries span exactly the decomposable classes.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from .atomic_complex import AtomicComplex, Chain, ComplexConfig, DEFAULT_CONFIG
 from .bicomplex import word_dMu, word_dW
 from .errors import InputError, MismatchError
 from .hypergraph import EdgeColoredHypergraph
-from .linalg import Echelon, kernel_of_rows, vec_axpy
+from .linalg import Echelon, vec_axpy
 
 
 @dataclass(frozen=True)
@@ -109,17 +120,6 @@ def find_massey_color_systems(h: EdgeColoredHypergraph) -> list[MasseyColorSyste
     return out
 
 
-def ordered_complex(
-    h: EdgeColoredHypergraph,
-    system: MasseyColorSystem,
-    config: ComplexConfig = DEFAULT_CONFIG,
-) -> AtomicComplex:
-    """Atomic complex whose order puts the system's five colors first."""
-    five = list(system.colors)
-    rest = sorted(set(h.colors) - set(five))
-    return AtomicComplex(h, order=five + rest, config=config)
-
-
 @dataclass
 class D2Certificate:
     system: MasseyColorSystem
@@ -131,17 +131,12 @@ class D2Certificate:
     zigzag_matches: bool
     zero_on_e2: bool
 
-    def ok(self) -> bool:
-        return self.closed and self.d1_vanishes and self.zigzag_matches
 
-
-def _check_system_order(cx: AtomicComplex, system: MasseyColorSystem) -> None:
-    pos = [cx.order.index(c) for c in system.colors]
-    if pos != sorted(pos):
-        raise InputError(
-            "complex order must list the system colors ascending; "
-            "use ordered_complex()"
-        )
+def _order_sign(cx: AtomicComplex, colors: tuple[str, ...] | list[str]) -> int:
+    """Sign of the permutation that sorts the listed colors into cx.order."""
+    pos = [cx.order.index(c) for c in colors]
+    inversions = sum(p > q for i, p in enumerate(pos) for q in pos[i + 1 :])
+    return -1 if inversions & 1 else 1
 
 
 def massey_d2_class(cx: AtomicComplex, system: MasseyColorSystem) -> D2Certificate:
@@ -150,35 +145,34 @@ def massey_d2_class(cx: AtomicComplex, system: MasseyColorSystem) -> D2Certifica
     Returns the closed unit-coefficient combination supported on the two
     four-color generators, checks it against the explicit zig-zag lift of
     a1|a2|a3, and decides whether its class is nonzero and whether it dies on
-    the second page by being a product of lower classes.
+    the second page by being a product of lower classes.  The complex may
+    list the colors in any order.
     """
     h = cx.hypergraph
     a, b, c = system.triple
     d, e = system.embedded
     if not _satisfies_system(h, a, b, c, d, e):
         raise InputError("not a Massey color system for this hypergraph")
-    _check_system_order(cx, system)
     u, v, w = (cx.mask_of([x]) for x in (a, b, c))
-    x_mask = cx.mask_of([a, b, d])
-    y_mask = cx.mask_of([b, c, e])
+    x, y = ({cx.mask_of(g): _order_sign(cx, g)} for g in ((a, b, d), (b, c, e)))
 
     uv = cx.multiply_chains({u: 1}, {v: 1})
-    if cx.d_chain({x_mask: 1}) != {m: -cc for m, cc in uv.items()}:
+    if cx.d_chain(x) != {m: -cc for m, cc in uv.items()}:
         raise MismatchError("embedded color does not bound the first product")
     vw = cx.multiply_chains({v: 1}, {w: 1})
-    if cx.d_chain({y_mask: 1}) != {m: -cc for m, cc in vw.items()}:
+    if cx.d_chain(y) != {m: -cc for m, cc in vw.items()}:
         raise MismatchError("embedded color does not bound the second product")
 
     # z = u*y - (-1)^{|u|} x*w, the standard triple-product representative
-    z: Chain = dict(cx.multiply_chains({u: 1}, {y_mask: 1}))
-    vec_axpy(z, cx.multiply_chains({x_mask: 1}, {w: 1}), -((-1) ** cx.degree[u]))
+    z: Chain = dict(cx.multiply_chains({u: 1}, y))
+    vec_axpy(z, cx.multiply_chains(x, {w: 1}), -((-1) ** cx.degree[u]))
     degree = cx.chain_degree(z)
     closed = cx.is_cocycle(z)
     nonzero = closed and not cx.is_coboundary(z)
 
     word = (u, v, w)
     d_mu_word = word_dMu(cx, {word: 1})
-    lift = {(x_mask, w): -1, (u, y_mask): -1}
+    lift = {(m, w): -s for m, s in x.items()} | {(u, m): -s for m, s in y.items()}
     d_w_lift = word_dW(cx, lift)
     target = {ww: -cc for ww, cc in d_mu_word.items()}
     d1_vanishes = not word_dW(cx, {word: 1}) and d_w_lift == target
@@ -199,45 +193,9 @@ def massey_d2_class(cx: AtomicComplex, system: MasseyColorSystem) -> D2Certifica
 
 
 def _class_dies_on_page_two(cx: AtomicComplex, z: Chain, degree: int) -> bool:
-    """True iff z is a coboundary plus the merge of a two-letter cycle,
-    i.e. the page-two class of z dies against the decomposables.
-
-    Two-letter cycles only need their letterwise differential to vanish
-    modulo the weight-two shuffle relations; merging kills those relations
-    identically, so no further correction terms appear.
-    """
-    # z lies in coboundaries + merged cycles iff its residue modulo the
-    # coboundaries lies in the span of the merged cycles' residues
-    residues = cx._merged_cycles.get(degree)
-    if residues is None:
-        residues = cx._merged_cycles[degree] = _merged_cycle_residues(cx, degree)
-    return residues.contains(cx.coboundaries(degree).reduce(z))
-
-
-def _merged_cycle_residues(cx: AtomicComplex, degree: int) -> Echelon:
-    """Span of the merged two-letter cycles of the degree modulo coboundaries."""
-    coboundaries = cx.coboundaries(degree)
-    letters = [m for m in range(1 << cx.n) if cx.degree[m] >= 1]
-    by_degree: dict[int, list[int]] = {}
-    for m in letters:
-        by_degree.setdefault(cx.degree[m], []).append(m)
-    pairs = [(m1, m2) for m1 in letters for m2 in by_degree.get(degree - cx.degree[m1], ())]
-    relations = Echelon()
-    for m1 in letters:
-        for m2 in by_degree.get(degree + 1 - cx.degree[m1], ()):
-            if m2 < m1:
-                continue
-            koszul = (cx.degree[m1] - 1) * (cx.degree[m2] - 1)
-            rel = {(m1, m2): 1}
-            rel[(m2, m1)] = rel.get((m2, m1), 0) + (-1) ** koszul
-            relations.add(rel)
-    rows = [relations.reduce(word_dW(cx, {pair: 1})) for pair in pairs]
-    residues = Echelon()
-    for combo in kernel_of_rows(rows):
-        cycle = {pairs[i]: cc for i, cc in combo.items()}
-        merged = word_dMu(cx, cycle)
-        residues.add(coboundaries.reduce({word[0]: cc for word, cc in merged.items()}))
-    return residues
+    """True iff the class of z is a sum of products of positive-degree
+    classes, i.e. it dies on the second page (see the module docstring)."""
+    return cx.decomposables(degree).contains(cx.coboundaries(degree).reduce(z))
 
 
 @dataclass
@@ -313,10 +271,10 @@ def nonformality_report(
 ) -> dict:
     """Scan for systems, certify their classes, and render a JSON-ready report."""
     systems = find_massey_color_systems(h)
+    cx = AtomicComplex(h, config=config)
     entries = []
     nonformal = False
     for system in systems:
-        cx = ordered_complex(h, system, config)
         cert = massey_d2_class(cx, system)
         u, v, w = ({cx.mask_of([x]): 1} for x in system.triple)
         triple = massey_triple_product(cx, u, v, w)
@@ -335,7 +293,7 @@ def nonformality_report(
                 "embedded": list(system.embedded),
                 "nocolors_hypothesis": system.nocolors_hypothesis,
                 "class_degree": cert.degree,
-                "cocycle": _render_chain(cx, cert.cocycle),
+                "cocycle": _render_chain(cx, cert.cocycle, system),
                 "closed": cert.closed,
                 "nonzero_in_cohomology": cert.nonzero_class,
                 "d1_of_word_vanishes": cert.d1_vanishes,
@@ -349,14 +307,13 @@ def nonformality_report(
     return {"systems": entries, "nonformal": nonformal}
 
 
-def _render_chain(cx: AtomicComplex, chain: Chain) -> list[dict]:
+def _render_chain(cx: AtomicComplex, chain: Chain, system: MasseyColorSystem) -> list[dict]:
+    """The chain in the system's order: its five colors, then the rest sorted."""
+    five = list(system.colors)
+    pos = {c: i for i, c in enumerate(five + sorted(set(cx.order) - set(five)))}
     out = []
-    for mask in sorted(chain):
-        coeff = chain[mask]
-        out.append(
-            {
-                "colors": list(cx.colors_of(mask)),
-                "coefficient": str(coeff) if coeff.denominator != 1 else int(coeff),
-            }
-        )
+    for mask in sorted(chain, key=lambda m: sum(1 << pos[c] for c in cx.colors_of(m))):
+        colors = sorted(cx.colors_of(mask), key=pos.__getitem__)
+        coeff = chain[mask] * _order_sign(cx, colors)
+        out.append({"colors": colors, "coefficient": str(coeff) if coeff.denominator != 1 else int(coeff)})
     return out

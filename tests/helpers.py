@@ -9,6 +9,7 @@ from echarr.errors import InputError
 from echarr.hypergraph import ColorSet, EdgeColoredHypergraph
 from echarr.lattice import IntersectionLattice
 from echarr.linalg import Echelon, Vec
+from echarr.massey import MasseyColorSystem
 
 
 def rank_of_rows(rows: Sequence[Vec]) -> int:
@@ -60,3 +61,10 @@ def is_proper(h: EdgeColoredHypergraph, coloring: Sequence[int]) -> bool:
         if not any(len({coloring[v - 1] for v in comp}) > 1 for comp in components):
             return False
     return True
+
+
+def ordered_complex(h: EdgeColoredHypergraph, system: MasseyColorSystem) -> AtomicComplex:
+    """Atomic complex whose order puts the system's five colors first."""
+    five = list(system.colors)
+    rest = sorted(set(h.colors) - set(five))
+    return AtomicComplex(h, order=five + rest)

@@ -28,12 +28,11 @@ from echarr.massey import (
     kequal_top_degree,
     massey_d2_class,
     massey_triple_product,
-    ordered_complex,
 )
 from echarr.polynomial import IntPolynomial
 from echarr.spectral import homotopy_ranks
 from echarr import cli
-from helpers import degree_of
+from helpers import degree_of, ordered_complex
 
 
 @pytest.fixture(scope="module")

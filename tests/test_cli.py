@@ -134,17 +134,21 @@ class TestCommands:
         "command, text, expected",
         [
             ("massey", MCS7_TEXT, "massey_mcs7.json"),
+            # mcs7 with the extra colors {1, 2} and {1, 7}: 10 systems, most
+            # of them out of canonical color order
+            ("massey", (DATA / "mcs7_plus_two.json").read_text(), "massey_mcs7_plus_two.json"),
             ("pi", EX28_TEXT, "pi_ex28.json"),
             # mcs7 has even-degree letters; the pair's page table runs to r = 12
             ("pi", json.dumps(dict(json.loads(MCS7_TEXT), max_degree=6, max_page=6)), "pi_mcs7.json"),
             ("pi", json.dumps(dict(json.loads(PAIR_TEXT), max_page=12)), "pi_disjoint_pair.json"),
         ],
-        ids=["massey-mcs7", "pi-ex28", "pi-mcs7", "pi-disjoint-pair"],
+        ids=["massey-mcs7", "massey-mcs7-plus-two", "pi-ex28", "pi-mcs7", "pi-disjoint-pair"],
     )
     def test_exact_output(self, tmp_path, capsys, command, text, expected):
-        # captured before the integer kernel (massey, pi on ex28) and before the
-        # persistence pairing (pi on mcs7 and the disjoint pair) replaced the
-        # routes that computed them
+        # captured before the integer kernel (massey, pi on ex28), before the
+        # persistence pairing (pi on mcs7 and the disjoint pair) and before
+        # the one-complex decomposable route (massey on mcs7 plus two colors)
+        # replaced the routes that computed them
         path = tmp_path / "h.json"
         path.write_text(text)
         assert cli.main([command, str(path)]) == 0

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echarr import EdgeColoredHypergraph, InputError, build_kequal
 from echarr.corpus import ex28, ex28_2, random_hypergraph
+from echarr.hypergraph import _components
 from helpers import equivalent, meet_colors
 
 import random
@@ -32,6 +35,16 @@ class TestComponents:
     def test_unknown_color(self, ex28):
         with pytest.raises(InputError):
             ex28.components(["purple"])
+
+    def test_cache_stays_at_its_bound(self):
+        bound = _components.cache_info().maxsize
+        assert bound is not None
+        # 13 colors have 8,192 subsets, more than the bound
+        h = EdgeColoredHypergraph.from_edge_list(14, [((i, i + 1), f"c{i:02d}") for i in range(1, 14)])
+        subsets = itertools.chain.from_iterable(itertools.combinations(h.colors, k) for k in range(14))
+        for gamma in itertools.islice(subsets, bound + 100):
+            h.components(gamma)
+        assert _components.cache_info().currsize == bound
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), h=hypergraphs())

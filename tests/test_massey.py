@@ -1,13 +1,17 @@
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from echarr import massey
 from echarr.atomic_complex import AtomicComplex
 from echarr.bicomplex import word_dMu, word_dW
-from echarr.corpus import disjoint_pair, ex28_2, mcs7
+from echarr.corpus import disjoint_pair, ex28_2, full_corpus, mcs7, random_hypergraph
 from echarr.errors import InputError
-from echarr.hypergraph import build_kequal
+from echarr.hypergraph import EdgeColoredHypergraph, build_kequal
 from echarr.linalg import Echelon, kernel_of_rows, vec_axpy
 from echarr.massey import (
     MasseyColorSystem,
@@ -19,9 +23,11 @@ from echarr.massey import (
     massey_d2_class,
     massey_triple_product,
     nonformality_report,
-    ordered_complex,
 )
-from helpers import degree_of
+from helpers import degree_of, ordered_complex
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +47,31 @@ def _with_extra_colors(h, extra_edges):
 MCS7_FAMILY = [[], [[1, 2]], [[1, 2], [1, 7]]]
 
 
+def _pool_hypergraphs(group, count):
+    """The first shapes of one group of the `model` benchmark pool."""
+    out = {}
+    for i, shape in enumerate(workloads.pool("model")[group][:count]):
+        edges = [(e, f"c{c}") for e, c in shape.edges]
+        out[f"{group}-{i}"] = EdgeColoredHypergraph.from_edge_list(shape.vertices, edges)
+    return out
+
+
+def _permutation_sign(colors, order):
+    pos = [order.index(c) for c in colors]
+    inversions = sum(1 for i in range(len(pos)) for j in range(i + 1, len(pos)) if pos[i] > pos[j])
+    return (-1) ** inversions
+
+
+def _transport(chain, source, target):
+    """Image of a chain of `source` in `target` under g_m -> e(m) g_m, the
+    sign of sorting m's colors from the source order into the target's."""
+    out = {}
+    for m, c in chain.items():
+        colors = source.colors_of(m)
+        out[target.mask_of(colors)] = c * _permutation_sign(colors, target.order)
+    return out
+
+
 def _fresh_coboundaries(cx, degree):
     span = Echelon()
     for m in cx.basis_by_degree.get(degree - 1, []):
@@ -48,7 +79,7 @@ def _fresh_coboundaries(cx, degree):
     return span
 
 
-def _dies_on_page_two_reference(cx, z, degree):
+def _page_two_reference_span(cx, degree):
     """One span holding the coboundaries and the merged two-letter cycles."""
     span = _fresh_coboundaries(cx, degree)
     letters = [m for m in range(1 << cx.n) if cx.degree[m] >= 1]
@@ -65,7 +96,11 @@ def _dies_on_page_two_reference(cx, z, degree):
     for combo in kernel_of_rows(rows):
         merged = word_dMu(cx, {pairs[i]: c for i, c in combo.items()})
         span.add({word[0]: c for word, c in merged.items()})
-    return span.contains(z)
+    return span
+
+
+def _dies_on_page_two_reference(cx, z, degree):
+    return _page_two_reference_span(cx, degree).contains(z)
 
 
 class TestFindSystems:
@@ -166,32 +201,105 @@ class TestD2Class:
             seen.add(value)
         assert seen == {True, False}
 
-    def test_page_two_pieces_built_once_per_degree(self, monkeypatch):
+    def test_decomposables_built_once_per_degree(self, monkeypatch):
         h = _with_extra_colors(mcs7(), MCS7_FAMILY[2])
-        calls = []
-        monkeypatch.setattr(massey, "kernel_of_rows", lambda rows: calls.append(1) or kernel_of_rows(rows))
-        for system in find_massey_color_systems(h):
-            cx = ordered_complex(h, system)
+        systems = find_massey_color_systems(h)
+        assert len(systems) == 10
+        cx = AtomicComplex(h)
+        asked = []
+        monkeypatch.setattr(cx, "cocycles", lambda degree: asked.append(degree) or AtomicComplex.cocycles(cx, degree))
+        spans = {}
+        for system in systems:
+            asked.clear()
             cert = massey_d2_class(cx, system)
-            cocycles = cx.cocycles(cert.degree)
+            # only the first certificate of a degree builds its span
+            assert bool(asked) == (cert.degree not in spans)
+            span = spans.setdefault(cert.degree, cx.decomposables(cert.degree))
+            assert cx.decomposables(cert.degree) is span
+            cocycles = AtomicComplex.cocycles(cx, cert.degree)
             assert len(cocycles) > 1
+            reference = _page_two_reference_span(cx, cert.degree)
             for z in cocycles:
-                answer = _class_dies_on_page_two(cx, z, cert.degree)
-                assert answer == _dies_on_page_two_reference(cx, z, cert.degree)
-            assert len(calls) == 1
-            calls.clear()
+                assert _class_dies_on_page_two(cx, z, cert.degree) == reference.contains(z)
+        assert set(cx._decomposables) == set(spans)
 
-    def test_rejects_wrong_order(self, mcs7_setup):
-        h, system, _ = mcs7_setup
-        bad = AtomicComplex(h, order=("L5", "L4", "L3", "L2", "L1"))
-        with pytest.raises(InputError):
-            massey_d2_class(bad, system)
+    def test_report_builds_one_complex(self, monkeypatch):
+        h = _with_extra_colors(mcs7(), MCS7_FAMILY[2])
+        built = []
+        init = AtomicComplex.__init__
+        monkeypatch.setattr(AtomicComplex, "__init__", lambda cx, *a, **k: built.append(1) or init(cx, *a, **k))
+        assert len(nonformality_report(h)["systems"]) == 10
+        assert len(built) == 1
 
     def test_rejects_non_system(self, mcs7_setup):
         _, _, cx = mcs7_setup
         fake = MasseyColorSystem(("L1", "L3", "L2"), ("L4", "L5"), True)
         with pytest.raises(InputError):
             massey_d2_class(cx, fake)
+
+
+class TestOrderIndependence:
+    """A certificate does not depend on the order of the complex's colors."""
+
+    CASES = {
+        **{f"mcs7+{len(extra)}": _with_extra_colors(mcs7(), extra) for extra in MCS7_FAMILY},
+        **_pool_hypergraphs("chain+2", 2),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_canonical_matches_system_order(self, name):
+        h = self.CASES[name]
+        cx = AtomicComplex(h)
+        systems = find_massey_color_systems(h)
+        assert any(list(s.colors) != sorted(s.colors, key=cx.order.index) for s in systems)
+        flags = ("degree", "closed", "nonzero_class", "d1_vanishes", "zigzag_matches", "zero_on_e2")
+        for system in systems:
+            ocx = ordered_complex(h, system)
+            ours, theirs = massey_d2_class(cx, system), massey_d2_class(ocx, system)
+            assert ours.cocycle == _transport(theirs.cocycle, ocx, cx)
+            assert [getattr(ours, f) for f in flags] == [getattr(theirs, f) for f in flags]
+
+
+class TestPageTwoDifferential:
+    """The decomposable route against the two-letter-cycle reference."""
+
+    @staticmethod
+    def _compare(cx):
+        """Both routes on every basis cocycle, on the sums of neighbouring
+        ones and on the sum of all, at every degree; returns the answers."""
+        answers = set()
+        for degree in cx.basis_by_degree:
+            cocycles = cx.cocycles(degree)
+            if not cocycles:
+                continue
+            sums = []
+            total: dict = {}
+            for z1, z2 in zip(cocycles, cocycles[1:]):
+                pair = dict(z1)
+                vec_axpy(pair, z2, 1)
+                sums.append(pair)
+            for z in cocycles:
+                vec_axpy(total, z, 1)
+            reference = _page_two_reference_span(cx, degree)
+            for z in [*cocycles, *sums, total]:
+                answer = _class_dies_on_page_two(cx, z, degree)
+                assert answer == reference.contains(z), (degree, z)
+                answers.add(answer)
+        return answers
+
+    def test_corpus_and_model_pool(self):
+        cases = {name: h for name, h in full_corpus().items() if len(h.colors) <= 7}
+        for group in ("mcs7", "chain+1", "chain+2"):
+            cases.update(_pool_hypergraphs(group, 3))
+        answers = set()
+        for h in cases.values():
+            answers |= self._compare(AtomicComplex(h))
+        assert answers == {True, False}
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_random_hypergraphs(self, seed):
+        self._compare(AtomicComplex(random_hypergraph(random.Random(seed), 7, 6)))
 
 
 class TestTripleProduct:
@@ -263,21 +371,22 @@ class TestTripleProduct:
 class TestSharedElimination:
     @pytest.mark.parametrize("extra", MCS7_FAMILY, ids=["mcs7", "plus_one", "plus_two"])
     def test_report_pass_leaves_cache_intact(self, extra):
+        # every system runs in the one complex, as the report does
         h = _with_extra_colors(mcs7(), extra)
+        cx = AtomicComplex(h)
         for system in find_massey_color_systems(h):
-            cx = ordered_complex(h, system)
             cert = massey_d2_class(cx, system)
             u, v, w = ({cx.mask_of([c]): Fraction(1)} for c in system.triple)
             massey_triple_product(cx, u, v, w)
             # the returned span is the caller's own to extend
             indeterminacy_span(cx, u, w, cert.degree).add({cx.mask_of(system.colors): Fraction(1)})
-            for degree, basis in cx.basis_by_degree.items():
-                fresh = Echelon(track=True)
-                for m in basis:
-                    fresh.add(cx.d_chain({m: Fraction(1)}), tag=m)
-                cached = cx.coboundaries(degree + 1)
-                assert (cached.rows, cached.combos) == (fresh.rows, fresh.combos)
-                assert cx.cocycles(degree) == fresh.kernel
+        for degree, basis in cx.basis_by_degree.items():
+            fresh = Echelon(track=True)
+            for m in basis:
+                fresh.add(cx.d_chain({m: Fraction(1)}), tag=m)
+            cached = cx.coboundaries(degree + 1)
+            assert (cached.rows, cached.combos) == (fresh.rows, fresh.combos)
+            assert cx.cocycles(degree) == fresh.kernel
 
 
 class TestKEqualBound:
